@@ -169,6 +169,14 @@ func TestBenchReportGolden(t *testing.T) {
 		Algo:   AlgoMSTRepair,
 		Faults: FaultScript{Deletes: 2, Inserts: 2, WeightChanges: 1},
 	})
+	reg.MustRegister(Spec{
+		Name:        "st-repair/gnm/async",
+		Description: "golden: small async spanning-forest repair storm",
+		Family:      FamilyGNM, N: 12, M: 20,
+		Sched:  SchedAsync,
+		Algo:   AlgoSTRepair,
+		Faults: FaultScript{Deletes: 3, Inserts: 2},
+	})
 	cfg := RunConfig{Trials: 2, Seed: 7, Workers: 2}
 	results := RunAll(reg.Specs(), cfg)
 	report := NewReport("golden", cfg, results)
