@@ -261,8 +261,8 @@ type session struct {
 	err       error
 	waiter    *Proc
 	// twaiter is the continuation-task counterpart of waiter: at most one
-	// of the two is set. A parked task is resumed by the engine's run
-	// queue exactly where a parked goroutine driver would have been.
+	// of the two is set. A parked task is resumed through the engine's
+	// run queue, in the same order a parked Proc would be.
 	twaiter *Task
 	// onQuiescence, if set, lets the session complete when the network
 	// goes quiescent (no messages in flight, no runnable drivers) — this
@@ -336,7 +336,7 @@ type Network struct {
 	// procFree recycles parked driver goroutines (with their channels)
 	// across spawns within one Run; allProcs lists every driver goroutine
 	// created since the pool was last drained, live counts the unfinished
-	// drivers of both models. See proc.go.
+	// drivers, Procs and Tasks together. See proc.go.
 	procFree []*Proc
 	allProcs []*Proc
 	live     int
@@ -351,7 +351,7 @@ type Network struct {
 
 	// Driver high-water marks (see DriverStats): peakProcs tracks driver
 	// goroutines ever created, peakTasks continuation tasks ever created,
-	// peakLive the maximum concurrently-unfinished drivers of both models.
+	// peakLive the maximum concurrently-unfinished drivers of either kind.
 	// Monotone across Runs so a trial reports its true peak.
 	peakProcs int
 	peakTasks int
@@ -377,7 +377,7 @@ type Network struct {
 // one of p (goroutine driver) or t (continuation task) is set. The queue
 // is drained strictly in append order, which is what makes driver
 // scheduling — and with it session serials and every derived random draw —
-// identical across shard counts and across the two driver models.
+// identical across shard counts.
 type wakeup struct {
 	p *Proc
 	t *Task

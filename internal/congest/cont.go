@@ -4,25 +4,24 @@ import (
 	"fmt"
 )
 
-// This file is the continuation-style driver runtime: the second of the
-// engine's two driver models.
+// This file is the continuation-driver runtime: the one way per-fragment
+// and per-repair work runs.
 //
 // A goroutine driver (Proc) is a sequential function parked on a channel
-// at every await — convenient to write, but a parked goroutine costs a
-// stack. At one driver per fragment per Borůvka phase that is the memory
-// wall at scale: ~1M parked stacks for the first phase of a 1M-node
-// build. A continuation driver is the same program written as an explicit
-// state machine (StepDriver) wrapped in a pooled Task: tens of bytes of
-// heap instead of kilobytes of stack, stepped directly on the engine
-// goroutine with no channel handoff.
+// at every await — convenient for a build's single phase controller, but
+// a parked goroutine costs a stack. At one driver per fragment per Borůvka
+// phase that would be the memory wall at scale: ~1M parked stacks for the
+// first phase of a 1M-node build. A continuation driver is the program
+// written as an explicit state machine (StepDriver) wrapped in a pooled
+// Task: tens of bytes of heap instead of kilobytes of stack, stepped
+// directly on the engine goroutine with no channel handoff.
 //
-// Scheduling is shared with goroutine drivers: spawns and session
+// Scheduling is shared with the controller Procs: spawns and session
 // completions append to the one run queue, which the engine drains in
-// order. A task therefore runs exactly where the equivalent goroutine
-// driver would have been resumed — same network-call order, same session
-// serials, same derived randomness — which is what lets seeded reports
-// stay byte-identical across the two models (and, unchanged from before,
-// across shard counts).
+// order, so controllers and tasks interleave in a fixed order — same
+// network-call order, same session serials, same derived randomness on
+// every run, which keeps seeded reports byte-identical across shard
+// counts.
 
 // StepDriver is the state-machine body of a continuation driver. The
 // engine calls Step once when the task starts (with a zero Wake) and once
@@ -33,11 +32,11 @@ import (
 // (done == true, with the driver's terminal error). A resumed Step must
 // check w.Err() first and finish with that error — forced completions
 // (deadlock unwinding) propagate through machines this way, exactly as a
-// goroutine driver's Await error unwinds its call stack.
+// blocking Proc's Await error unwinds its call stack.
 //
 // Step runs on the engine goroutine in driver context: it may freely call
 // NewSession, Send, CompleteSession, topology mutation — everything a
-// goroutine driver may do between awaits. It must not block.
+// Proc may do between awaits. It must not block.
 type StepDriver interface {
 	Step(t *Task, w Wake) (next SessionID, done bool, err error)
 }
@@ -50,8 +49,8 @@ type Task struct {
 	nw *Network
 	d  StepDriver
 
-	// Tagged diagnostic name, formatted only on demand (same contract as
-	// Proc.GoTagged): the per-fragment spawn path never builds strings.
+	// Tagged diagnostic name, formatted only on demand: the per-fragment
+	// spawn path never builds strings.
 	prefix     string
 	tagA, tagB uint64
 
@@ -91,8 +90,7 @@ func (nw *Network) getTask() *Task {
 }
 
 // spawnTask registers a continuation driver. Mirrors spawn: the done
-// session is allocated here, at spawn time, so session serials line up
-// exactly with the goroutine model's.
+// session is allocated here, at spawn time, in run-queue order.
 func (nw *Network) spawnTask(prefix string, a, b uint64, d StepDriver) *Task {
 	t := nw.getTask()
 	t.prefix, t.tagA, t.tagB = prefix, a, b
@@ -115,9 +113,8 @@ func (nw *Network) SpawnStep(name string, d StepDriver) *Task {
 }
 
 // GoStepTagged spawns a continuation child driver named
-// "<prefix>-p<a>-f<b>" (formatted lazily). It is the continuation
-// equivalent of GoTagged: the child starts at the next scheduling
-// opportunity, in run-queue order.
+// "<prefix>-p<a>-f<b>" (formatted lazily). The child starts at the next
+// scheduling opportunity, in run-queue order.
 func (p *Proc) GoStepTagged(prefix string, a, b uint64, d StepDriver) *Task {
 	return p.nw.spawnTask(prefix, a, b, d)
 }
@@ -218,46 +215,19 @@ func (nw *Network) drainTaskPool() {
 	nw.taskFree = nw.taskFree[:0]
 }
 
-// DriverMode selects how protocol fan-outs drive their per-fragment
-// work. The zero value is the continuation model — the default
-// everywhere; the goroutine model remains for tests, small scenarios and
-// as the reference the parity tests diff against.
-type DriverMode uint8
-
-const (
-	// DriverCont runs per-fragment drivers as pooled continuation state
-	// machines stepped by the engine (no goroutine per fragment).
-	DriverCont DriverMode = iota
-	// DriverGoroutine runs one pooled goroutine per fragment driver — the
-	// pre-continuation model.
-	DriverGoroutine
-)
-
-// String implements fmt.Stringer.
-func (m DriverMode) String() string {
-	switch m {
-	case DriverCont:
-		return "continuation"
-	case DriverGoroutine:
-		return "goroutine"
-	default:
-		return fmt.Sprintf("DriverMode(%d)", uint8(m))
-	}
-}
-
 // DriverStats reports the engine's driver high-water marks, the footprint
-// gate for the continuation model: a goroutine-per-fragment build shows
-// PeakGoroutines on the order of the fragment count (each one a parked
-// stack), a continuation build shows a handful (the phase controllers)
-// with the fan-out in PeakTasks (plain heap objects). Marks are monotone
-// across Runs on the same network.
+// gate for the continuation model: a build shows a handful of goroutines
+// (its phase controller) with the fan-out in PeakTasks (plain heap
+// objects), never one parked stack per fragment. Marks are monotone across
+// Runs on the same network.
 type DriverStats struct {
 	// PeakGoroutines is the most driver goroutines ever created (the
 	// allProcs high-water mark, each backed by a parked OS-thread stack).
 	PeakGoroutines int
 	// PeakTasks is the most continuation tasks ever created.
 	PeakTasks int
-	// PeakLive is the most concurrently-unfinished drivers of both models.
+	// PeakLive is the most concurrently-unfinished drivers, Procs and
+	// Tasks together.
 	PeakLive int
 }
 

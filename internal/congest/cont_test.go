@@ -128,23 +128,36 @@ func (stepNop) Step(*Task, Wake) (SessionID, bool, error) { return 0, true, nil 
 
 var nopDriver stepNop
 
-// TestTaskPoolReuseWithinRun is the continuation counterpart of
-// TestPooledDriverReuseWithinRun: a second fan-out phase inside one Run
-// must reuse the first phase's Task objects entirely.
+// nopFanout is a Fanout of nopDrivers; initNop arms nothing. Both are
+// package-level so the allocation gate measures the engine and the
+// helper, not closures at the call site.
+func nopFanout() *Fanout[stepNop, int] {
+	return &Fanout[stepNop, int]{New: func() stepNop { return nopDriver }}
+}
+
+func initNop(stepNop, NodeID, *int) {}
+
+// leaderIDs returns the leader list 1..n.
+func leaderIDs(n int) []NodeID {
+	ids := make([]NodeID, n)
+	for i := range ids {
+		ids[i] = NodeID(i + 1)
+	}
+	return ids
+}
+
+// TestTaskPoolReuseWithinRun: a second fan-out phase inside one Run must
+// reuse the first phase's Task objects entirely.
 func TestTaskPoolReuseWithinRun(t *testing.T) {
 	g := graph.Path(2, 1, graph.UnitWeights())
 	nw := NewNetwork(g)
 	created := func() int { return len(nw.allTasks) }
+	leaders := leaderIDs(32)
 	nw.Spawn("outer", func(p *Proc) error {
-		var scratch FanoutScratch[int]
+		fan := nopFanout()
 		base := 0
 		for phase := 0; phase < 3; phase++ {
-			tasks := scratch.Tasks()
-			for i := 0; i < 32; i++ {
-				tasks = append(tasks, p.GoStepTagged("child", uint64(phase), uint64(i), nopDriver))
-			}
-			scratch.KeepTasks(tasks)
-			if err := p.WaitTasks(tasks...); err != nil {
+			if _, err := fan.Run(p, "child", phase, leaders, initNop); err != nil {
 				return err
 			}
 			if phase == 0 {
@@ -171,16 +184,12 @@ func TestTaskSpawnAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	g := graph.Path(2, 1, graph.UnitWeights())
 	nw := NewNetwork(g)
-	var scratch FanoutScratch[int]
+	fan := nopFanout()
+	leaders := leaderIDs(64)
 	wave := func() {
 		nw.Spawn("outer", func(p *Proc) error {
 			for phase := 0; phase < 2; phase++ {
-				tasks := scratch.Tasks()
-				for i := 0; i < 64; i++ {
-					tasks = append(tasks, p.GoStepTagged("child", uint64(phase), uint64(i), nopDriver))
-				}
-				scratch.KeepTasks(tasks)
-				if err := p.WaitTasks(tasks...); err != nil {
+				if _, err := fan.Run(p, "child", phase, leaders, initNop); err != nil {
 					return err
 				}
 			}
@@ -197,13 +206,64 @@ func TestTaskSpawnAllocs(t *testing.T) {
 	allocBudget(t, "continuation fan-out (2 phases x 64 tasks)", avg, 64+32)
 }
 
+// stepLeader records its leader into its outcome slot.
+type stepLeader struct {
+	leader NodeID
+	out    *int
+}
+
+func (d *stepLeader) Step(*Task, Wake) (SessionID, bool, error) {
+	*d.out = int(d.leader)
+	return 0, true, nil
+}
+
+// TestFanoutShrinkingPhases: across a shrinking fan-out the helper reuses
+// its pooled drivers, hands each phase zeroed outcome slots indexed like
+// its leaders, and clears the stale task tail of the larger earlier phase
+// so finished tasks are not pinned.
+func TestFanoutShrinkingPhases(t *testing.T) {
+	nw := buildNet(t, 2)
+	made := 0
+	fan := &Fanout[*stepLeader, int]{New: func() *stepLeader { made++; return &stepLeader{} }}
+	var got [][]int
+	nw.Spawn("outer", func(p *Proc) error {
+		for phase, leaders := range [][]NodeID{{4, 7, 9, 12, 15}, {7, 12}} {
+			out, err := fan.Run(p, "frag", phase, leaders, func(d *stepLeader, leader NodeID, o *int) {
+				if *o != 0 {
+					t.Errorf("phase %d: outcome slot for leader %d not zeroed: %d", phase, leader, *o)
+				}
+				d.leader, d.out = leader, o
+			})
+			if err != nil {
+				return err
+			}
+			got = append(got, append([]int(nil), out...))
+		}
+		return nil
+	})
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[[4 7 9 12 15] [7 12]]" {
+		t.Errorf("outcomes %v, want [[4 7 9 12 15] [7 12]]", got)
+	}
+	if made != 5 {
+		t.Errorf("constructed %d drivers, want 5 (phase two reuses the pool)", made)
+	}
+	for i, tk := range fan.tasks[:cap(fan.tasks)] {
+		if i >= 2 && tk != nil {
+			t.Errorf("stale task pinned at index %d", i)
+		}
+	}
+}
+
 // stepPanic panics mid-step with a recognizable value.
 type stepPanic struct{ val string }
 
 func (d stepPanic) Step(*Task, Wake) (SessionID, bool, error) { panic(d.val) }
 
 // TestDriverPanicParity: a panicking driver surfaces out of Run with the
-// original panic value under both driver models.
+// original panic value whether a Task or a Proc panics.
 func TestDriverPanicParity(t *testing.T) {
 	catch := func(spawn func(nw *Network)) (val any) {
 		nw := buildNet(t, 2)

@@ -1,52 +1,47 @@
 package congest
 
-// FanoutScratch recycles the per-phase buffers of a fan-out driver: one
-// outcome slot and one child driver per fragment, reused across phases.
-// At scale the first Borůvka phase spawns one driver per node (100k at
-// 100k nodes), so both the slices and the subtle stale-tail clearing —
-// finished drivers must not stay reachable through the backing array —
-// are worth keeping in one place. R is the per-fragment outcome type.
-type FanoutScratch[R any] struct {
+// Fanout is the per-phase fan-out of a Borůvka-style build: one
+// continuation driver per fragment leader, spawned from the phase
+// controller and joined before the phase barrier. It owns everything the
+// fan-out recycles across phases — the driver pool, the per-fragment
+// outcome slots and the task slice — so a warm phase spawns its whole
+// fan-out without allocating. At scale the first phase spawns one driver
+// per node (100k at 100k nodes), which is also why the stale-tail
+// clearing lives here: finished tasks must not stay reachable through the
+// backing array. D is the algorithm's driver type, R its per-fragment
+// outcome.
+type Fanout[D StepDriver, R any] struct {
+	// New constructs a driver when the pool has fewer than a phase needs
+	// (fragment counts only shrink, so in practice only in phase one).
+	New func() D
+
+	drivers  []D
 	outcomes []R
-	procs    []*Proc
 	tasks    []*Task
 }
 
-// Outcomes returns a zeroed outcome slice of length n, reusing capacity.
-func (s *FanoutScratch[R]) Outcomes(n int) []R {
-	if cap(s.outcomes) < n {
-		s.outcomes = make([]R, n)
+// Run spawns one driver per leader, named "<prefix>-p<phase>-f<leader>",
+// after init arms it for that leader and its zeroed outcome slot; then it
+// blocks p until every driver finished. It returns the outcomes, indexed
+// like leaders and valid until the next Run, with the first driver error.
+func (f *Fanout[D, R]) Run(p *Proc, prefix string, phase int, leaders []NodeID, init func(d D, leader NodeID, out *R)) ([]R, error) {
+	if cap(f.outcomes) < len(leaders) {
+		f.outcomes = make([]R, len(leaders))
 	}
-	s.outcomes = s.outcomes[:n]
-	var zero R
-	for i := range s.outcomes {
-		s.outcomes[i] = zero
+	f.outcomes = f.outcomes[:len(leaders)]
+	clear(f.outcomes)
+	tasks := f.tasks[:0]
+	for i, leader := range leaders {
+		if len(f.drivers) <= i {
+			f.drivers = append(f.drivers, f.New())
+		}
+		d := f.drivers[i]
+		init(d, leader, &f.outcomes[i])
+		tasks = append(tasks, p.GoStepTagged(prefix, uint64(phase), uint64(leader), d))
 	}
-	return s.outcomes
-}
-
-// Procs returns the reusable driver slice, truncated to length zero.
-func (s *FanoutScratch[R]) Procs() []*Proc { return s.procs[:0] }
-
-// KeepProcs stores the appended driver slice back into the scratch,
-// clearing any stale tail left over from a larger earlier phase so
-// finished drivers are not pinned in memory.
-func (s *FanoutScratch[R]) KeepProcs(procs []*Proc) {
-	for i := len(procs); i < len(s.procs); i++ {
-		s.procs[i] = nil
+	if n := len(tasks); n < len(f.tasks) {
+		clear(f.tasks[n:])
 	}
-	s.procs = procs
-}
-
-// Tasks returns the reusable continuation-task slice, truncated to length
-// zero — the Task counterpart of Procs.
-func (s *FanoutScratch[R]) Tasks() []*Task { return s.tasks[:0] }
-
-// KeepTasks stores the appended task slice back into the scratch, clearing
-// any stale tail so finished tasks are not pinned in memory.
-func (s *FanoutScratch[R]) KeepTasks(tasks []*Task) {
-	for i := len(tasks); i < len(s.tasks); i++ {
-		s.tasks[i] = nil
-	}
-	s.tasks = tasks
+	f.tasks = tasks
+	return f.outcomes, p.WaitTasks(tasks...)
 }

@@ -5,7 +5,7 @@ import "sort"
 // Observer receives engine trace events. The engine drives it only at its
 // natural barriers — never from inside a shard worker — so every callback
 // runs on the engine goroutine, in an order that is identical across shard
-// counts and driver models:
+// counts:
 //
 //   - RoundEnd fires after a delivery batch has fully applied (for sharded
 //     rounds: after the ordered merge folded every lane's counter block into

@@ -15,19 +15,12 @@ var ErrDeadlock = errors.New("congest: deadlock: drivers blocked with no message
 // function; the engine guarantees that while they run, nothing else does.
 //
 // Procs are pooled: the goroutine and its channels persist across spawns
-// within one Run, parked between assignments. At scale (one driver per
-// fragment per Borůvka phase) this is what keeps driver fan-out from being
-// the residual allocator — a warm phase reuses the previous phase's
-// goroutines instead of spawning fresh ones.
+// within one Run, parked between assignments. Per-fragment and per-repair
+// work does not run on Procs at all — it runs as continuation Tasks (see
+// cont.go), which cost heap objects instead of parked stacks.
 type Proc struct {
-	nw *Network
-	// name is the diagnostic name (Spawn); tagged drivers (GoTagged) store
-	// prefix and tags instead and format only when Name is called, so the
-	// per-fragment fan-out never builds strings.
-	name       string
-	prefix     string
-	tagA, tagB uint64
-	tagged     bool
+	nw   *Network
+	name string
 
 	fn func(*Proc) error
 
@@ -115,7 +108,7 @@ func (p *Proc) call(fn func(*Proc) error) (err error) {
 
 func (nw *Network) spawn(name string, fn func(*Proc) error) *Proc {
 	p := nw.getProc()
-	p.name, p.tagged = name, false
+	p.name = name
 	p.fn = fn
 	p.finished, p.err, p.awaiting, p.panicVal = false, nil, 0, nil
 	p.doneSession = nw.NewSession(nil)
@@ -200,14 +193,8 @@ func (nw *Network) drainProcPool() {
 	nw.live = 0
 }
 
-// Name returns the driver's diagnostic name. Tagged drivers format it on
-// demand — the hot spawn path never builds it.
-func (p *Proc) Name() string {
-	if p.tagged {
-		return fmt.Sprintf("%s-p%d-f%d", p.prefix, p.tagA, p.tagB)
-	}
-	return p.name
-}
+// Name returns the driver's diagnostic name.
+func (p *Proc) Name() string { return p.name }
 
 // Network returns the network the driver runs on.
 func (p *Proc) Network() *Network { return p.nw }
@@ -269,16 +256,6 @@ func (p *Proc) await(sid SessionID) (Wake, error) {
 // opportunity; the parent keeps running until it blocks or finishes.
 func (p *Proc) Go(name string, fn func(*Proc) error) *Proc {
 	return p.nw.spawn(name, fn)
-}
-
-// GoTagged spawns a child driver named "<prefix>-p<a>-f<b>" without
-// building the string: per-fragment fan-outs (one driver per fragment per
-// phase) use it so driver naming costs nothing unless a diagnostic
-// actually prints it.
-func (p *Proc) GoTagged(prefix string, a, b uint64, fn func(*Proc) error) *Proc {
-	c := p.nw.spawn("", fn)
-	c.prefix, c.tagA, c.tagB, c.tagged = prefix, a, b, true
-	return c
 }
 
 // WaitAll blocks until every given driver has finished and returns the
@@ -361,8 +338,8 @@ func (nw *Network) Run() error {
 			wu.p.resume <- wu.w
 			<-wu.p.yield
 			if pv := wu.p.panicVal; pv != nil {
-				// Driver panics surface from Run on the engine goroutine,
-				// for both driver models alike.
+				// Proc panics surface from Run on the engine goroutine,
+				// exactly like a task's Step panic.
 				panic(pv)
 			}
 		}

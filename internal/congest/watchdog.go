@@ -69,7 +69,7 @@ type WatchdogError struct {
 	LastProgress      int64  // clock of the last session completion
 	Completions       uint64 // sessions completed so far
 	RunQueue          int    // pending run-queue entries (runnable drivers)
-	LiveDrivers       int    // unfinished drivers (both models)
+	LiveDrivers       int    // unfinished drivers (Procs and Tasks)
 	OpenSessions      int    // allocated session slots
 	PendingQuiescence int    // sessions waiting on a quiescence callback
 	// Stuck lists up to maxStuckReported parked drivers; StuckMore counts

@@ -45,10 +45,10 @@ func (o Op) String() string {
 // the 100k-node remainder. Orientation is a performance hint only;
 // correctness never depends on it.
 type Event struct {
-	Op   Op     `json:"op"`
-	A    uint32 `json:"a"`
-	B    uint32 `json:"b"`
-	Raw  uint64 `json:"raw,omitempty"` // insert weight / new weight
+	Op  Op     `json:"op"`
+	A   uint32 `json:"a"`
+	B   uint32 `json:"b"`
+	Raw uint64 `json:"raw,omitempty"` // insert weight / new weight
 	// Stage names the plan stage that emitted the event ("partition",
 	// "burst", "bridge", "tree", "hub", "random", "heal") — the handle for
 	// minimizing a failure to a plan prefix.

@@ -191,9 +191,9 @@ func countFold(node *congest.NodeState, down any, acc, child uint64) uint64 {
 // containing it. If it returns an edge, the edge certainly leaves the
 // tree (the counting test is exact); EmptyCut is w.h.p. correct.
 func Run(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cfg Config) (Result, error) {
-	// One implementation for both driver models: the blocking form drives
-	// the state machine in place (see Machine), so a goroutine driver and
-	// a continuation task perform the identical operation sequence.
+	// One implementation: the blocking form drives the state machine in
+	// place (see Machine), so a caller on a Proc performs the identical
+	// operation sequence a continuation task would.
 	m := NewMachine()
 	m.Reset(pr, root, r, cfg)
 	return m.Drive(p)

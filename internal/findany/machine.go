@@ -31,8 +31,8 @@ const (
 // internal/st wraps Machines in continuation tasks instead of parking one
 // goroutine per fragment. Reset re-arms a Machine in place; the embedded
 // probe specs and alpha buffer are reused, so a warm phase allocates
-// nothing per fragment. Run is a Drive loop over the same Step, keeping
-// the two driver models observably identical.
+// nothing per fragment. Run is a Drive loop over the same Step, so there
+// is one FindAny implementation whichever way it is driven.
 type Machine struct {
 	pr   *tree.Protocol
 	root congest.NodeID
@@ -208,8 +208,9 @@ func (m *Machine) fail(err error) (congest.SessionID, bool, error) {
 	return 0, true, err
 }
 
-// Drive runs the machine to completion on a blocking goroutine driver; see
-// findmin.Machine.Drive for why the two driver models stay identical.
+// Drive runs the machine to completion on a blocking Proc, awaiting each
+// step's session in place — the very Step sequence a continuation task
+// executes.
 func (m *Machine) Drive(p *congest.Proc) (Result, error) {
 	next, done, _ := m.Step(nil, congest.Wake{})
 	for !done {

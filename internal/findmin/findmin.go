@@ -123,9 +123,9 @@ type Result struct {
 // (TestOut's positives are certain and the final value is a concrete
 // incident edge weight).
 func Run(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cfg Config) (Result, error) {
-	// One implementation for both driver models: the blocking form drives
-	// the state machine in place (see Machine), so a goroutine driver and
-	// a continuation task perform the identical operation sequence.
+	// One implementation: the blocking form drives the state machine in
+	// place (see Machine), so a caller on a Proc performs the identical
+	// operation sequence a continuation task would.
 	m := NewMachine()
 	m.Reset(pr, root, r, cfg)
 	return m.Drive(p)

@@ -35,9 +35,8 @@ const (
 // reused, so a warm phase allocates nothing per fragment.
 //
 // Machine implements the body of congest.StepDriver; the blocking Run is a
-// Drive loop over the same Step, so both driver models execute the
-// identical sequence of engine operations (sessions, sends, RNG draws) and
-// produce byte-identical seeded reports.
+// Drive loop over the same Step, so there is one FindMin implementation
+// whichever way it is driven.
 type Machine struct {
 	pr   *tree.Protocol
 	root congest.NodeID
@@ -228,10 +227,9 @@ func (m *Machine) fail(err error) (congest.SessionID, bool, error) {
 	return 0, true, err
 }
 
-// Drive runs the machine to completion on a blocking goroutine driver,
-// awaiting each step's session in place. Because Drive and a continuation
-// task execute the very same Step sequence, the two driver models are
-// observably identical.
+// Drive runs the machine to completion on a blocking Proc, awaiting each
+// step's session in place — the very Step sequence a continuation task
+// executes.
 func (m *Machine) Drive(p *congest.Proc) (Result, error) {
 	next, done, _ := m.Step(nil, congest.Wake{})
 	for !done {

@@ -146,19 +146,12 @@ type BuildResult struct {
 }
 
 // Build constructs the minimum spanning forest deterministically, driving
-// fragments with continuation tasks (the default model).
+// each fragment with a continuation task.
 func Build(nw *congest.Network, pr *tree.Protocol, g *Protocol) (BuildResult, error) {
-	return BuildDrivers(nw, pr, g, congest.DriverCont)
-}
-
-// BuildDrivers is Build with an explicit per-fragment driver model; the
-// goroutine model remains as the parity reference.
-func BuildDrivers(nw *congest.Network, pr *tree.Protocol, g *Protocol, mode congest.DriverMode) (BuildResult, error) {
 	var result BuildResult
 	maxPhases := int(math.Ceil(math.Log2(float64(nw.N())))) + 2
 	nw.Spawn("ghs", func(p *congest.Proc) error {
-		var scratch congest.FanoutScratch[bool]
-		var drivers []*fragDriver
+		fan := congest.Fanout[*fragDriver, bool]{New: func() *fragDriver { return &fragDriver{} }}
 		var meter congest.PhaseMeter
 		for phase := 1; ; phase++ {
 			if phase > maxPhases {
@@ -177,42 +170,11 @@ func BuildDrivers(nw *congest.Network, pr *tree.Protocol, g *Protocol, mode cong
 			if o := nw.Obs(); o != nil {
 				o.PhaseStart("ghs", phase, stat.Fragments, nw.Now())
 			}
-			merged := scratch.Outcomes(len(elect.Leaders))
-			if mode == congest.DriverGoroutine {
-				procs := scratch.Procs()
-				for i, leader := range elect.Leaders {
-					i, leader := i, leader
-					procs = append(procs, p.GoTagged("ghs", uint64(phase), uint64(leader), func(fp *congest.Proc) error {
-						cand, err := g.runFragment(fp, leader, phase)
-						if err != nil {
-							return err
-						}
-						if !cand.valid {
-							return nil
-						}
-						merged[i] = true
-						_, err = pr.BroadcastEcho(fp, leader, tree.AddEdgeSpec(cand.edgeNum))
-						return err
-					}))
-				}
-				scratch.KeepProcs(procs)
-				if err := p.WaitAll(procs...); err != nil {
-					return err
-				}
-			} else {
-				tasks := scratch.Tasks()
-				for i, leader := range elect.Leaders {
-					for len(drivers) <= i {
-						drivers = append(drivers, &fragDriver{})
-					}
-					d := drivers[i]
-					d.init(g, pr, leader, phase, &merged[i])
-					tasks = append(tasks, p.GoStepTagged("ghs", uint64(phase), uint64(leader), d))
-				}
-				scratch.KeepTasks(tasks)
-				if err := p.WaitTasks(tasks...); err != nil {
-					return err
-				}
+			merged, err := fan.Run(p, "ghs", phase, elect.Leaders, func(d *fragDriver, leader congest.NodeID, out *bool) {
+				d.init(g, pr, leader, phase, out)
+			})
+			if err != nil {
+				return err
 			}
 			p.AwaitQuiescence()
 			nw.ApplyStaged()
@@ -265,8 +227,7 @@ func (d *fragDriver) init(g *Protocol, pr *tree.Protocol, leader congest.NodeID,
 	d.started, d.adding = false, false
 }
 
-// Step implements congest.StepDriver: the continuation form of
-// runFragment plus the Add-Edge broadcast.
+// Step implements congest.StepDriver.
 func (d *fragDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
 	nw := d.g.nw
 	if !d.started {
@@ -295,22 +256,6 @@ func (d *fragDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, b
 	*d.merged = true
 	d.adding = true
 	return d.pr.StartBroadcastEcho(d.leader, tree.AddEdgeSpec(cand.edgeNum)), false, nil
-}
-
-// runFragment drives one fragment through one phase: enter the phase at
-// the leader (which broadcasts the fragment identity), then await the
-// convergecast report of the minimum outgoing candidate.
-func (g *Protocol) runFragment(p *congest.Proc, leader congest.NodeID, phase int) (candidate, error) {
-	sid := g.nw.NewSession(nil)
-	node := g.nw.Node(leader)
-	st := &g.state[leader]
-	st.session = sid
-	g.enterPhase(g.nw, node, st, phase, leader, 0)
-	v, err := p.Await(sid)
-	if err != nil {
-		return candidate{}, err
-	}
-	return v.(candidate), nil
 }
 
 // enterPhase initialises a node's per-phase state, forwards the fragment

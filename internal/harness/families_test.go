@@ -22,7 +22,7 @@ func TestScalingFamilyScenariosShardIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s not registered", name)
 		}
-		m4, _, err := RunTrialShards(spec, 11, 4)
+		m4, _, err := RunTrialContext(nil, spec, 11, 4, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -38,7 +38,7 @@ func TestScalingFamilyScenariosShardIdentical(t *testing.T) {
 		if testing.Short() {
 			continue
 		}
-		m1, _, err := RunTrialShards(spec, 11, 1)
+		m1, _, err := RunTrialContext(nil, spec, 11, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -107,7 +107,7 @@ func RunAll(specs []Spec, cfg RunConfig) []Result {
 				if cfg.Timeout > 0 {
 					ctx, cancel = context.WithTimeout(context.Background(), cfg.Timeout)
 				}
-				m, kinds, err := RunTrialContext(ctx, spec, seed, cfg.Shards, congest.DriverCont, obs)
+				m, kinds, err := RunTrialContext(ctx, spec, seed, cfg.Shards, obs)
 				cancel()
 				m.Trial = j.ti
 				m.Seed = seed

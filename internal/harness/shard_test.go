@@ -62,7 +62,7 @@ func TestShardedScaleScenarioValid(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m4, _, err := RunTrialShards(spec, 11, 4)
+	m4, _, err := RunTrialContext(nil, spec, 11, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestShardedScaleScenarioValid(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	m1, _, err := RunTrialShards(spec, 11, 1)
+	m1, _, err := RunTrialContext(nil, spec, 11, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestAsyncShardedScaleScenarioValid(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m4, _, err := RunTrialShards(spec, 11, 4)
+	m4, _, err := RunTrialContext(nil, spec, 11, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAsyncShardedScaleScenarioValid(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	m1, _, err := RunTrialShards(spec, 11, 1)
+	m1, _, err := RunTrialContext(nil, spec, 11, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEffectiveShardCountClamped(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := RunTrialShards(spec, 7, 64)
+	m, _, err := RunTrialContext(nil, spec, 7, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestStormPropertyManySeeds(t *testing.T) {
 		}
 		for s := 0; s < seedsPerVariant; s++ {
 			seed := uint64(vi)<<32 | uint64(s+1)*0x9e3779b9
-			m1, _, err := RunTrialShards(spec, seed, 1)
+			m1, _, err := RunTrialContext(nil, spec, seed, 1, nil)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", spec.Name, seed, err)
 			}
@@ -86,7 +86,7 @@ func TestStormPropertyManySeeds(t *testing.T) {
 			if m1.Repairs == 0 {
 				t.Errorf("%s seed %d: plan launched no repairs — sweep lost its teeth", spec.Name, seed)
 			}
-			m4, _, err := RunTrialShards(spec, seed, 4)
+			m4, _, err := RunTrialContext(nil, spec, seed, 4, nil)
 			if err != nil {
 				t.Fatalf("%s seed %d shards=4: %v", spec.Name, seed, err)
 			}
@@ -117,7 +117,7 @@ func TestStormAmortizedAccounting(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := RunTrialShards(spec, 5, 1)
+	m, _, err := RunTrialContext(nil, spec, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

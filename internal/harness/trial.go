@@ -73,45 +73,27 @@ func buildGraph(s Spec, r *rng.RNG, workers int) *graph.Graph {
 	}
 }
 
-// RunTrial executes one single-threaded seeded trial of the scenario; see
-// RunTrialShards.
+// RunTrial executes one single-threaded, unobserved seeded trial of the
+// scenario; see RunTrialContext.
 func RunTrial(spec Spec, seed uint64) (TrialMetrics, map[string]congest.KindCount, error) {
-	return RunTrialShards(spec, seed, 1)
+	return RunTrialContext(nil, spec, seed, 1, nil)
 }
 
-// RunTrialShards executes one seeded trial on the given shard count with
-// the default (continuation) driver model; see RunTrialDrivers.
-func RunTrialShards(spec Spec, seed uint64, shards int) (TrialMetrics, map[string]congest.KindCount, error) {
-	return RunTrialDrivers(spec, seed, shards, congest.DriverCont)
-}
-
-// RunTrialDrivers executes one seeded trial of the scenario on the given
-// shard count and per-fragment driver model, and returns its metrics plus
-// the per-kind traffic breakdown. Shard count and driver model are both
-// execution knobs only — the engine's determinism contracts guarantee
-// identical metrics at any value of either — so the seed alone still
-// identifies the trial. Specs must already be validated (registry
-// scenarios are). Protocol panics are converted to errors so one bad
-// trial cannot take down a bench sweep.
-func RunTrialDrivers(spec Spec, seed uint64, shards int, drivers congest.DriverMode) (TrialMetrics, map[string]congest.KindCount, error) {
-	return RunTrialObserved(spec, seed, shards, drivers, nil)
-}
-
-// RunTrialObserved is RunTrialDrivers with an optional trace observer
-// attached to the trial's network (nil disables observation). The observer
-// is passive — metrics and reports are byte-identical with it on or off;
-// see congest.Observer.
-func RunTrialObserved(spec Spec, seed uint64, shards int, drivers congest.DriverMode, obs congest.Observer) (TrialMetrics, map[string]congest.KindCount, error) {
-	return RunTrialContext(nil, spec, seed, shards, drivers, obs)
-}
-
-// RunTrialContext is RunTrialObserved with a cancellation context plumbed
-// into the trial's engine: once ctx is done, the trial aborts at the next
+// RunTrialContext executes one seeded trial of the scenario on the given
+// shard count and returns its metrics plus the per-kind traffic
+// breakdown. The shard count is an execution knob only — the engine's
+// determinism contract guarantees identical metrics at any value — so the
+// seed alone identifies the trial. obs, when non-nil, is a passive trace
+// observer attached to the trial's network: metrics are byte-identical
+// with it on or off (see congest.Observer). ctx, when non-nil, is plumbed
+// into the trial's engine: once it is done, the trial aborts at the next
 // delivery batch with a structured congest.WatchdogError instead of
-// running to completion. A nil ctx disables cancellation. Cancellation is
-// the one wall-clock escape hatch — a cancelled trial reports an error,
-// never metrics, so it cannot perturb seeded reports.
-func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, drivers congest.DriverMode, obs congest.Observer) (m TrialMetrics, byKind map[string]congest.KindCount, err error) {
+// running to completion. Cancellation is the one wall-clock escape hatch —
+// a cancelled trial reports an error, never metrics, so it cannot perturb
+// seeded reports. Specs must already be validated (registry scenarios
+// are). Protocol panics are converted to errors so one bad trial cannot
+// take down a bench sweep.
+func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, obs congest.Observer) (m TrialMetrics, byKind map[string]congest.KindCount, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("harness: trial panicked: %v", r)
@@ -156,7 +138,6 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, dr
 	switch s.Algo {
 	case AlgoMSTBuildAdaptive, AlgoMSTBuildFixed:
 		cfg := mst.DefaultBuild(seed)
-		cfg.Drivers = drivers
 		if s.Algo == AlgoMSTBuildFixed {
 			cfg.Policy = mst.Fixed
 			cfg.C = 1 // the fixed budget is already worst-case; keep it affordable
@@ -172,7 +153,7 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, dr
 		m.Valid = spanning.IsMSF(g, forestIndices(g, res.Forest)) == nil
 	case AlgoGHS:
 		gp := ghs.Attach(nw)
-		res, rerr := ghs.BuildDrivers(nw, pr, gp, drivers)
+		res, rerr := ghs.Build(nw, pr, gp)
 		if rerr != nil {
 			return m, nil, rerr
 		}
@@ -183,9 +164,7 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, dr
 		m.Valid = spanning.IsMSF(g, forestIndices(g, res.Forest)) == nil
 	case AlgoSTBuild:
 		sp := st.Attach(nw, pr)
-		stCfg := st.DefaultBuild(seed)
-		stCfg.Drivers = drivers
-		res, rerr := st.Build(nw, pr, sp, stCfg)
+		res, rerr := st.Build(nw, pr, sp, st.DefaultBuild(seed))
 		if rerr != nil {
 			return m, nil, rerr
 		}
@@ -207,12 +186,12 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, dr
 		if s.Plan != nil {
 			return runConcurrentStorm(s, nw, pr, g, seed, true, heapBefore)
 		}
-		return runRepairStorm(s, nw, pr, g, r, seed, shards, true, heapBefore)
+		return runRepairStorm(s, nw, pr, g, r, seed, true, heapBefore)
 	case AlgoSTRepair:
 		if s.Plan != nil {
 			return runConcurrentStorm(s, nw, pr, g, seed, false, heapBefore)
 		}
-		return runRepairStorm(s, nw, pr, g, r, seed, shards, false, heapBefore)
+		return runRepairStorm(s, nw, pr, g, r, seed, false, heapBefore)
 	case AlgoDebugStall:
 		return m, nil, runDebugStall(nw)
 	default:
@@ -279,7 +258,7 @@ func captureFootprint(m *TrialMetrics, nw *congest.Network, heapBefore uint64) {
 // uncharged, like the paper's "a spanning forest is maintained"
 // precondition), then applies the fault script in seeded random order and
 // meters only the repair traffic.
-func runRepairStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph.Graph, r *rng.RNG, seed uint64, shards int, weighted bool, heapBefore uint64) (TrialMetrics, map[string]congest.KindCount, error) {
+func runRepairStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph.Graph, r *rng.RNG, seed uint64, weighted bool, heapBefore uint64) (TrialMetrics, map[string]congest.KindCount, error) {
 	m := TrialMetrics{Seed: seed, Shards: nw.Lanes(), GraphEdges: g.M(), Actions: make(map[string]int)}
 
 	var refForest []int

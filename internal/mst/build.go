@@ -57,13 +57,9 @@ type BuildConfig struct {
 	// Policy picks the stopping rule.
 	Policy PhasePolicy
 	// FindMin configures the per-fragment search; the paper uses
-	// FindMin-C inside Build MST.
+	// FindMin-C inside Build MST. Each fragment's search runs as a pooled
+	// continuation state machine stepped by the engine (congest.Fanout).
 	FindMin findmin.Config
-	// Drivers selects the per-fragment driver model. The default
-	// (congest.DriverCont) steps pooled FindMin state machines on the
-	// engine; congest.DriverGoroutine parks one pooled goroutine per
-	// fragment — observably identical, kept as the parity reference.
-	Drivers congest.DriverMode
 }
 
 // DefaultBuild returns the paper-faithful configuration.
@@ -125,11 +121,12 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
 	nw.Spawn("boruvka", func(p *congest.Proc) error {
-		var scratch congest.FanoutScratch[findmin.Reason]
-		var drivers []*fragDriver
+		fan := congest.Fanout[*fragDriver, findmin.Reason]{
+			New: func() *fragDriver { return &fragDriver{m: findmin.NewMachine()} },
+		}
 		var meter congest.PhaseMeter
 		for phase := 1; phase <= maxPhases; phase++ {
-			stat, err := runPhase(p, nw, pr, cfg, phase, &meter, &scratch, &drivers)
+			stat, err := runPhase(p, nw, pr, cfg, phase, &meter, &fan)
 			if err != nil {
 				return err
 			}
@@ -201,7 +198,7 @@ func (d *fragDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, b
 // runPhase executes one Borůvka phase: elect leaders, run FindMin-C per
 // fragment concurrently, broadcast Add-Edge for the found edges, then
 // synchronise and apply the staged marks.
-func runPhase(p *congest.Proc, nw *congest.Network, pr *tree.Protocol, cfg BuildConfig, phase int, meter *congest.PhaseMeter, scratch *congest.FanoutScratch[findmin.Reason], drivers *[]*fragDriver) (PhaseStat, error) {
+func runPhase(p *congest.Proc, nw *congest.Network, pr *tree.Protocol, cfg BuildConfig, phase int, meter *congest.PhaseMeter, fan *congest.Fanout[*fragDriver, findmin.Reason]) (PhaseStat, error) {
 	meter.Begin(nw)
 
 	elect, err := pr.ElectAll(p)
@@ -216,46 +213,11 @@ func runPhase(p *congest.Proc, nw *congest.Network, pr *tree.Protocol, cfg Build
 		o.PhaseStart("mst", phase, stat.Fragments, nw.Now())
 	}
 
-	outcomes := scratch.Outcomes(len(elect.Leaders))
-	if cfg.Drivers == congest.DriverGoroutine {
-		procs := scratch.Procs()
-		for i, leader := range elect.Leaders {
-			i, leader := i, leader
-			procs = append(procs, p.GoTagged("findmin", uint64(phase), uint64(leader), func(fp *congest.Proc) error {
-				r := fragmentRand(cfg.Seed, phase, leader)
-				res, err := findmin.Run(fp, pr, leader, r, cfg.FindMin)
-				if err != nil {
-					return err
-				}
-				outcomes[i] = res.Reason
-				if res.Reason == findmin.FoundEdge {
-					// Paper step (c): broadcast Add Edge; endpoints stage
-					// marks applied at the phase barrier (step d).
-					if _, err := pr.BroadcastEcho(fp, leader, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}))
-		}
-		scratch.KeepProcs(procs)
-		if err := p.WaitAll(procs...); err != nil {
-			return stat, err
-		}
-	} else {
-		tasks := scratch.Tasks()
-		for i, leader := range elect.Leaders {
-			for len(*drivers) <= i {
-				*drivers = append(*drivers, &fragDriver{m: findmin.NewMachine()})
-			}
-			d := (*drivers)[i]
-			d.init(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindMin, &outcomes[i])
-			tasks = append(tasks, p.GoStepTagged("findmin", uint64(phase), uint64(leader), d))
-		}
-		scratch.KeepTasks(tasks)
-		if err := p.WaitTasks(tasks...); err != nil {
-			return stat, err
-		}
+	outcomes, err := fan.Run(p, "findmin", phase, elect.Leaders, func(d *fragDriver, leader congest.NodeID, out *findmin.Reason) {
+		d.init(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindMin, out)
+	})
+	if err != nil {
+		return stat, err
 	}
 	// Phase barrier ("while time < i*maxTime wait"), then the waiting
 	// nodes' local mark application.

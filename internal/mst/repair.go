@@ -5,7 +5,6 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/findmin"
-	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
@@ -59,11 +58,6 @@ type Report struct {
 	Messages uint64
 	Bits     uint64
 	Time     int64
-	// Edge is the replacement/marked edge when Action is Reconnected,
-	// Added or Swapped.
-	Edge [2]congest.NodeID
-	// Stats carries the inner FindMin statistics for delete repairs.
-	Stats findmin.Stats
 }
 
 // RepairConfig tunes the repair operations.
@@ -95,61 +89,58 @@ func obsRepairDone(nw *congest.Network, op string, rep Report) {
 	}
 }
 
+// noOp reports a change that leaves the forest untouched, bracketed for
+// the observer like every other repair (at zero cost).
+func noOp(nw *congest.Network, op string) Report {
+	rep := Report{Action: NoOp}
+	obsRepairStart(nw, op)
+	obsRepairDone(nw, op, rep)
+	return rep
+}
+
+// drive runs one repair alone on the idle network: the wave-mode
+// stormRepair machine, rooted at the smaller-ID endpoint of {a,b}, as the
+// only driver of one Run. With no wave controller around, drive applies
+// the staged marks itself once the Run has quiesced, and reports the
+// repair's cost.
+func drive(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bool, a, b congest.NodeID, seed uint64, cfg findmin.Config) (Report, error) {
+	before := nw.Counters()
+	beforeTime := nw.Now()
+	obsRepairStart(nw, op)
+	u, v := a, b
+	if v < u {
+		u, v = v, u
+	}
+	sr := &stormRepair{nw: nw, pr: pr}
+	if deleteStyle {
+		sr.fm = findmin.NewMachine()
+	}
+	sr.reset(deleteStyle, u, v, seed, cfg)
+	nw.SpawnStep(op, sr)
+	if err := nw.Run(); err != nil {
+		return Report{Action: sr.action}, err
+	}
+	nw.ApplyStaged()
+	c := nw.CountersSince(before)
+	rep := Report{Action: sr.action, Messages: c.Messages, Bits: c.Bits, Time: nw.Now() - beforeTime}
+	obsRepairDone(nw, op, rep)
+	return rep, nil
+}
+
 // Delete processes the deletion of link {a,b} (paper §3.2 Delete(u,v)):
 // the link is removed from the topology; if it was a tree edge, the
 // smaller-ID endpoint initiates FindMin over its remaining tree and marks
 // the replacement, if any. The network must be idle (impromptu repair is
 // between-updates state-free).
 func Delete(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg RepairConfig) (Report, error) {
-	before := nw.Counters()
-	beforeTime := nw.Now()
 	existed, wasMarked := nw.DeleteLink(a, b)
 	if !existed {
 		return Report{}, fmt.Errorf("mst: delete of non-existent link {%d,%d}", a, b)
 	}
-	obsRepairStart(nw, "mst.delete")
 	if !wasMarked {
-		rep := Report{Action: NoOp}
-		obsRepairDone(nw, "mst.delete", rep)
-		return rep, nil
+		return noOp(nw, "mst.delete"), nil
 	}
-	u := a
-	if b < u {
-		u = b
-	}
-	var rep Report
-	nw.Spawn(fmt.Sprintf("delete-%d-%d", a, b), func(p *congest.Proc) error {
-		r := rng.New(cfg.Seed ^ uint64(a)<<32 ^ uint64(b))
-		res, err := findmin.Run(p, pr, u, r, cfg.FindMin)
-		if err != nil {
-			return err
-		}
-		rep.Stats = res.Stats
-		switch res.Reason {
-		case findmin.FoundEdge:
-			if _, err := pr.BroadcastEcho(p, u, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-				return err
-			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Reconnected
-			rep.Edge = [2]congest.NodeID{res.A, res.B}
-		case findmin.EmptyCut:
-			rep.Action = Bridge
-		case findmin.GaveUp:
-			rep.Action = Failed
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		return rep, err
-	}
-	c := nw.CountersSince(before)
-	rep.Messages = c.Messages
-	rep.Bits = c.Bits
-	rep.Time = nw.Now() - beforeTime
-	obsRepairDone(nw, "mst.delete", rep)
-	return rep, nil
+	return drive(nw, pr, "mst.delete", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b), cfg.FindMin)
 }
 
 // Insert processes the insertion of link {a,b} with the given raw weight
@@ -161,60 +152,7 @@ func Insert(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, raw uin
 	if err := nw.InsertLink(a, b, raw); err != nil {
 		return Report{}, err
 	}
-	return settleUnmarked(nw, pr, a, b, "mst.insert")
-}
-
-// settleUnmarked restores the MSF invariant given that the (existing,
-// unmarked) link {a,b} may now belong in the forest. op labels the
-// enclosing operation for observers.
-func settleUnmarked(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, op string) (Report, error) {
-	before := nw.Counters()
-	beforeTime := nw.Now()
-	obsRepairStart(nw, op)
-	u, v := a, b
-	if v < u {
-		u, v = v, u
-	}
-	newComposite := nw.Node(u).EdgeTo(v).Composite
-	var rep Report
-	nw.Spawn(fmt.Sprintf("insert-%d-%d", a, b), func(p *congest.Proc) error {
-		pm, err := runPathMax(p, pr, u, v)
-		if err != nil {
-			return err
-		}
-		switch {
-		case !pm.Found:
-			// v is in a different tree: the new edge joins two trees.
-			nw.Node(u).StageMark(v)
-			pr.SendMarkX(u, v)
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Added
-			rep.Edge = [2]congest.NodeID{u, v}
-		case newComposite < pm.MaxComposite:
-			// Swap: broadcast "remove heaviest path edge, add {u,v}".
-			spec := swapSpec(pm.MaxEdgeNum, nw.Node(u).EdgeTo(v).EdgeNum)
-			if _, err := pr.BroadcastEcho(p, u, spec); err != nil {
-				return err
-			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Swapped
-			rep.Edge = [2]congest.NodeID{u, v}
-		default:
-			rep.Action = Kept
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		return rep, err
-	}
-	c := nw.CountersSince(before)
-	rep.Messages = c.Messages
-	rep.Bits = c.Bits
-	rep.Time = nw.Now() - beforeTime
-	obsRepairDone(nw, op, rep)
-	return rep, nil
+	return drive(nw, pr, "mst.insert", false, a, b, 0, cfg.FindMin)
 }
 
 // WeightChange processes a weight change on the existing link {a,b}
@@ -227,7 +165,7 @@ func WeightChange(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, n
 	}
 	oldRaw, wasMarked := he.Raw, he.Marked
 	if newRaw == oldRaw {
-		return Report{Action: NoOp}, nil
+		return noOp(nw, "mst.reweight"), nil
 	}
 	if err := nw.SetRawWeight(a, b, newRaw); err != nil {
 		return Report{}, err
@@ -239,64 +177,15 @@ func WeightChange(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, n
 		// itself stays available as its own (possibly best) replacement.
 		nw.Node(a).SetMark(b, false)
 		nw.Node(b).SetMark(a, false)
-		rep, err := deleteStyleRepair(nw, pr, a, b, cfg)
-		return rep, err
+		return drive(nw, pr, "mst.reweight", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b)^0x5851f42d4c957f2d, cfg.FindMin)
 	case !wasMarked && newRaw < oldRaw:
 		// Decrease on a non-tree edge: like an insertion.
-		return settleUnmarked(nw, pr, a, b, "mst.reweight")
+		return drive(nw, pr, "mst.reweight", false, a, b, 0, cfg.FindMin)
 	default:
 		// Decrease on a tree edge / increase on a non-tree edge: the MSF
 		// is unchanged.
-		rep := Report{Action: NoOp}
-		obsRepairStart(nw, "mst.reweight")
-		obsRepairDone(nw, "mst.reweight", rep)
-		return rep, nil
+		return noOp(nw, "mst.reweight"), nil
 	}
-}
-
-// deleteStyleRepair runs the FindMin reconnection step of Delete without
-// removing the link.
-func deleteStyleRepair(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg RepairConfig) (Report, error) {
-	before := nw.Counters()
-	beforeTime := nw.Now()
-	obsRepairStart(nw, "mst.reweight")
-	u := a
-	if b < u {
-		u = b
-	}
-	var rep Report
-	nw.Spawn(fmt.Sprintf("reweight-%d-%d", a, b), func(p *congest.Proc) error {
-		r := rng.New(cfg.Seed ^ uint64(a)<<32 ^ uint64(b) ^ 0x5851f42d4c957f2d)
-		res, err := findmin.Run(p, pr, u, r, cfg.FindMin)
-		if err != nil {
-			return err
-		}
-		rep.Stats = res.Stats
-		switch res.Reason {
-		case findmin.FoundEdge:
-			if _, err := pr.BroadcastEcho(p, u, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-				return err
-			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Reconnected
-			rep.Edge = [2]congest.NodeID{res.A, res.B}
-		case findmin.EmptyCut:
-			rep.Action = Bridge
-		case findmin.GaveUp:
-			rep.Action = Failed
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		return rep, err
-	}
-	c := nw.CountersSince(before)
-	rep.Messages = c.Messages
-	rep.Bits = c.Bits
-	rep.Time = nw.Now() - beforeTime
-	obsRepairDone(nw, "mst.reweight", rep)
-	return rep, nil
 }
 
 // pathMaxResult is the aggregate of the Insert broadcast-and-echo.
@@ -309,18 +198,9 @@ type pathMaxResult struct {
 	MaxEdgeNum   uint64
 }
 
-// runPathMax performs the Insert(u,v) broadcast-and-echo: does v lie in
-// u's tree, and if so what is the heaviest edge on the path u..v?
-func runPathMax(p *congest.Proc, pr *tree.Protocol, root, target congest.NodeID) (pathMaxResult, error) {
-	v, err := pr.BroadcastEcho(p, root, pathMaxSpec(target))
-	if err != nil {
-		return pathMaxResult{}, err
-	}
-	return v.(pathMaxResult), nil
-}
-
-// pathMaxSpec builds the Insert(u,v) broadcast-and-echo spec; shared by the
-// blocking driver above and the wave-mode storm machine.
+// pathMaxSpec builds the Insert(u,v) broadcast-and-echo spec: does the
+// target lie in the root's tree, and if so what is the heaviest edge on
+// the tree path between them?
 func pathMaxSpec(target congest.NodeID) *tree.Spec {
 	return &tree.Spec{
 		Down:     target,

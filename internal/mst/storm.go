@@ -9,14 +9,14 @@ import (
 	"kkt/internal/tree"
 )
 
-// stormRepair is the wave-mode form of the repair drivers in repair.go: the
-// same operation bodies (FindMin reconnection for delete-style events,
-// path-max settle for insert-style ones) as an explicit continuation state
-// machine, so an admission wave of overlapping repairs costs heap objects,
-// not parked goroutine stacks. Unlike the sequential drivers it never
-// awaits quiescence or applies staged marks itself — the wave controller's
-// single Run/ApplyStaged covers every repair in the wave (see
-// internal/admit's safety argument).
+// stormRepair is the one repair body of the weighted MSF: FindMin
+// reconnection for delete-style events, path-max settle for insert-style
+// ones, as an explicit continuation state machine, so an admission wave of
+// overlapping repairs costs heap objects, not parked goroutine stacks. It
+// never awaits quiescence or applies staged marks itself: a storm's wave
+// controller covers every repair in the wave with a single
+// Run/ApplyStaged (see internal/admit's safety argument), and the
+// single-op Delete/Insert/WeightChange run one machine alone (drive).
 type stormRepair struct {
 	nw *congest.Network
 	pr *tree.Protocol
@@ -111,7 +111,8 @@ func (sr *stormRepair) Step(t *congest.Task, w congest.Wake) (congest.SessionID,
 }
 
 // stepFindMin delegates to the inner FindMin machine and, on completion,
-// dispatches on its result exactly like the blocking delete driver.
+// dispatches on its result: mark the found edge, or report the cut empty
+// or the search given up.
 func (sr *stormRepair) stepFindMin(t *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
 	next, done, err := sr.fm.Step(t, w)
 	if !done {
@@ -135,8 +136,8 @@ func (sr *stormRepair) stepFindMin(t *congest.Task, w congest.Wake) (congest.Ses
 
 // StormLauncher implements admit.Launcher for a maintained weighted MSF:
 // the admission-time classification mirrors Delete/Insert/WeightChange in
-// repair.go — same seed derivations, same inline no-op cases — with the
-// driver bodies run as stormRepair machines.
+// repair.go — same seed derivations, same inline no-op cases — and the
+// admitted repairs run as stormRepair machines.
 type StormLauncher struct {
 	nw    *congest.Network
 	pr    *tree.Protocol

@@ -69,9 +69,6 @@ type BuildConfig struct {
 	// FindAny configures the per-fragment search; the paper uses
 	// FindAny-C inside Build ST.
 	FindAny findany.Config
-	// Drivers selects the per-fragment driver model (continuation state
-	// machines by default; goroutines as the parity reference).
-	Drivers congest.DriverMode
 }
 
 // DefaultBuild returns the paper-faithful configuration.
@@ -120,11 +117,12 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
 	nw.Spawn("boruvka-st", func(p *congest.Proc) error {
-		var scratch congest.FanoutScratch[findany.Reason]
-		var drivers []*fragDriver
+		fan := congest.Fanout[*fragDriver, findany.Reason]{
+			New: func() *fragDriver { return &fragDriver{m: findany.NewMachine()} },
+		}
 		var meter congest.PhaseMeter
 		for phase := 1; phase <= maxPhases; phase++ {
-			stat, err := sp.runPhase(p, pr, cfg, phase, &meter, &scratch, &drivers)
+			stat, err := sp.runPhase(p, pr, cfg, phase, &meter, &fan)
 			if err != nil {
 				return err
 			}
@@ -188,7 +186,7 @@ func (d *fragDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, b
 
 // runPhase: detect and break cycles left by the previous phase's merges,
 // then elect leaders and run FindAny-C per fragment.
-func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, cfg BuildConfig, phase int, meter *congest.PhaseMeter, scratch *congest.FanoutScratch[findany.Reason], drivers *[]*fragDriver) (PhaseStat, error) {
+func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, cfg BuildConfig, phase int, meter *congest.PhaseMeter, fan *congest.Fanout[*fragDriver, findany.Reason]) (PhaseStat, error) {
 	nw := sp.nw
 	meter.Begin(nw)
 	var stat PhaseStat
@@ -232,44 +230,11 @@ func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, cfg BuildConfig
 		o.PhaseStart("st", phase, stat.Fragments, nw.Now())
 	}
 
-	outcomes := scratch.Outcomes(len(elect.Leaders))
-	if cfg.Drivers == congest.DriverGoroutine {
-		procs := scratch.Procs()
-		for i, leader := range elect.Leaders {
-			i, leader := i, leader
-			procs = append(procs, p.GoTagged("findany", uint64(phase), uint64(leader), func(fp *congest.Proc) error {
-				r := fragmentRand(cfg.Seed, phase, leader)
-				res, err := findany.Run(fp, pr, leader, r, cfg.FindAny)
-				if err != nil {
-					return err
-				}
-				outcomes[i] = res.Reason
-				if res.Reason == findany.FoundEdge {
-					if _, err := pr.BroadcastEcho(fp, leader, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}))
-		}
-		scratch.KeepProcs(procs)
-		if err := p.WaitAll(procs...); err != nil {
-			return stat, err
-		}
-	} else {
-		tasks := scratch.Tasks()
-		for i, leader := range elect.Leaders {
-			for len(*drivers) <= i {
-				*drivers = append(*drivers, &fragDriver{m: findany.NewMachine()})
-			}
-			d := (*drivers)[i]
-			d.init(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindAny, &outcomes[i])
-			tasks = append(tasks, p.GoStepTagged("findany", uint64(phase), uint64(leader), d))
-		}
-		scratch.KeepTasks(tasks)
-		if err := p.WaitTasks(tasks...); err != nil {
-			return stat, err
-		}
+	outcomes, err := fan.Run(p, "findany", phase, elect.Leaders, func(d *fragDriver, leader congest.NodeID, out *findany.Reason) {
+		d.init(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindAny, out)
+	})
+	if err != nil {
+		return stat, err
 	}
 	p.AwaitQuiescence()
 	nw.ApplyStaged()

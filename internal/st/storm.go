@@ -9,11 +9,11 @@ import (
 	"kkt/internal/tree"
 )
 
-// stormRepair is the wave-mode form of the ST repair drivers in repair.go:
-// FindAny reconnection for deletes, a membership broadcast-and-echo for
-// inserts, as an explicit continuation state machine. Quiescence and
-// staged-mark application are the wave controller's job (see
-// internal/admit).
+// stormRepair is the one ST repair body: FindAny reconnection for deletes,
+// a membership broadcast-and-echo for inserts, as an explicit continuation
+// state machine. Quiescence and staged-mark application are the caller's
+// job: a storm's wave controller (see internal/admit), or drive for the
+// single-op Delete/Insert.
 type stormRepair struct {
 	nw *congest.Network
 	pr *tree.Protocol

@@ -36,8 +36,8 @@
 //
 // Derived randomness. Node-local random choices (NodeRand) are seeded by
 // the session's creation serial, never the packed ID or any engine
-// state, so draws are identical across slot-recycling orders, shard
-// counts and driver models.
+// state, so draws are identical across slot-recycling orders and shard
+// counts.
 //
 // Tree discipline. A broadcast-and-echo must run on a marked subgraph
 // that is a tree: a second broadcast arriving at a node in the same
