@@ -32,10 +32,10 @@ bench-micro:
 bench-ci: bench-micro
 	$(GO) run ./cmd/kkt bench --trials 1 --seed 1 --quiet --exclude gnm-1m --out BENCH_ci.json
 
-# The 1M-node sharded headline scenario: one seeded trial, one shard per
-# core. Takes minutes; emits BENCH_1m.json.
+# The 1M-node headline scenario: one seeded trial. Takes minutes; emits
+# BENCH_1m.json.
 bench-1m:
-	$(GO) run ./cmd/kkt bench --filter gnm-1m --trials 1 --seed 1 --shards $$(nproc) --out BENCH_1m.json
+	$(GO) run ./cmd/kkt bench --filter gnm-1m --trials 1 --seed 1 --out BENCH_1m.json
 
 # Fold per-commit BENCH_ci.json artifacts into the perf-trajectory table
 # (markdown; see `benchcheck history -h` for CSV). Pass more reports as
@@ -72,12 +72,12 @@ bench-check:
 	$(MAKE) bench-micro | $(GO) run ./cmd/benchcheck parse -o BENCH_micro_ci.json
 	$(GO) run ./cmd/benchcheck compare -baseline BENCH_baseline.json -fresh BENCH_micro_ci.json
 
-# Live-observability demo: a 100k-node sharded MST build serving JSON
+# Live-observability demo: a 100k-node MST build serving JSON
 # snapshots, Prometheus /metrics and pprof on :8080 while it runs, plus the
 # driver/heap footprint on stderr afterwards. Scrape with e.g.
 # `curl localhost:8080/metrics`.
 obs-demo:
-	$(GO) run ./cmd/kkt run mst-build/gnm-100k/sync --trials 1 --shards $$(nproc) --obs-listen :8080 --obs-hold --footprint
+	$(GO) run ./cmd/kkt run mst-build/gnm-100k/sync --trials 1 --obs-listen :8080 --obs-hold --footprint
 
 # Adversarial-robustness demo: a ~10k-repair fault-plan storm (partitions,
 # correlated bursts, targeted deletions, heals) against a maintained MSF on
@@ -85,10 +85,10 @@ obs-demo:
 # serves live repair-latency percentiles (rounds_p50/p90/p99 under
 # "repairs" at /timeline, kkt_trial_repair_rounds at /metrics).
 storm-demo:
-	$(GO) run ./cmd/kkt run mst-repair/gnm-100k/storm --trials 1 --shards $$(nproc) --obs-listen :8080 --obs-hold --footprint
+	$(GO) run ./cmd/kkt run mst-repair/gnm-100k/storm --trials 1 --obs-listen :8080 --obs-hold --footprint
 
 # Serving-mode demo: a live topology-maintenance daemon over a 100k-node
-# graph under sustained churn, one shard per core. While it runs, :8080
+# graph under sustained churn. While it runs, :8080
 # serves the usual /timeline, /metrics and pprof endpoints plus the
 # WebSocket push stream at /ws — subscribe with
 # `go run ./cmd/kkt ws localhost:8080`. Durable state checkpoints to
@@ -96,7 +96,7 @@ storm-demo:
 # re-run with `--resume` appended to pick up where it left off.
 serve-demo:
 	$(GO) run ./cmd/kkt serve --family gnm --n 100000 --m 300000 --graph-seed 1 \
-		--seed 1 --shards $$(nproc) --epoch-events 128 --events 16384 \
+		--seed 1 --epoch-events 128 --events 16384 \
 		--churn tree-deletes=24,deletes=16,inserts=16,weight-changes=8 \
 		--checkpoint /tmp/kkt-serve.ckpt --checkpoint-every 4 --obs-listen :8080
 

@@ -6,14 +6,14 @@
 // Usage:
 //
 //	kkt list [--json]
-//	kkt run <scenario> [--trials N] [--seed S] [--workers W] [--shards S] [--json]
+//	kkt run <scenario> [--trials N] [--seed S] [--workers W] [--json]
 //	        [--timeout D] [--obs-listen ADDR] [--obs-hold] [--footprint]
 //	kkt bench [--filter SUBSTR] [--exclude SUBSTRS] [--trials N] [--seed S]
-//	          [--workers W] [--shards S] [--json] [--out FILE] [--quiet]
+//	          [--workers W] [--json] [--out FILE] [--quiet]
 //	          [--timeout D] [--obs-listen ADDR] [--obs-hold]
 //	kkt scaling [--families LIST] [--algos LIST] [--ladder LO:HI:RUNGS|N,N,...]
 //	            [--seeds N] [--seed S] [--density const|sqrt|quad] [--workers W]
-//	            [--shards S] [--timeout D] [--json] [--out FILE] [--quiet]
+//	            [--timeout D] [--json] [--out FILE] [--quiet]
 //	kkt serve [graph flags | --trace FILE] [--events N] [--epoch-events N]
 //	          [--churn PLAN] [--checkpoint FILE] [--resume] [--obs-listen ADDR]
 //	kkt trace [graph flags] --churn PLAN [--events N] [--out FILE]
@@ -131,7 +131,6 @@ type runFlags struct {
 	trials  int
 	seed    uint64
 	workers int
-	shards  int
 	timeout time.Duration
 	jsonOut bool
 }
@@ -140,7 +139,6 @@ func addRunFlags(fs *flag.FlagSet, rf *runFlags) {
 	fs.IntVar(&rf.trials, "trials", 4, "seeded trials per scenario")
 	fs.Uint64Var(&rf.seed, "seed", 1, "base seed (identical seeds give byte-identical metrics)")
 	fs.IntVar(&rf.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&rf.shards, "shards", 1, "shards per trial: multi-core single trials, metrics byte-identical at any value")
 	fs.DurationVar(&rf.timeout, "timeout", 0, "wall-clock budget per trial; an over-budget trial is cancelled and reported as failed (0 = none)")
 	fs.BoolVar(&rf.jsonOut, "json", false, "emit JSON instead of a table")
 }
@@ -148,8 +146,7 @@ func addRunFlags(fs *flag.FlagSet, rf *runFlags) {
 func (rf runFlags) runConfig() harness.RunConfig {
 	return harness.RunConfig{
 		Trials: rf.trials, Seed: rf.seed,
-		Workers: rf.workers, Shards: rf.shards,
-		Timeout: rf.timeout,
+		Workers: rf.workers, Timeout: rf.timeout,
 	}
 }
 
@@ -251,7 +248,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 		}
 		stopObs()
 	}
-	warnShardFallback(stderr, rf.shards, results)
 	return reportTrialErrors(stderr, results)
 }
 
@@ -340,7 +336,6 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "\nreport written to %s\n", *out)
 	}
-	warnShardFallback(stderr, rf.shards, results)
 	return reportTrialErrors(stderr, results)
 }
 
@@ -361,26 +356,6 @@ func printSuggestions(stderr io.Writer, names []string) {
 	fmt.Fprintln(stderr, "did you mean:")
 	for _, n := range names {
 		fmt.Fprintf(stderr, "  %s\n", n)
-	}
-}
-
-// warnShardFallback surfaces on stderr every scenario whose trials ran on
-// a different shard count than --shards requested (the engine clamps the
-// partition to the node count). Reports stay byte-identical either way —
-// the warning is about wall-clock expectations: a user asking for N-way
-// parallelism should never silently get less.
-func warnShardFallback(stderr io.Writer, requested int, results []harness.Result) {
-	if requested <= 1 {
-		return
-	}
-	for _, res := range results {
-		for _, t := range res.Trials {
-			if t.Error == "" && t.Shards != requested {
-				fmt.Fprintf(stderr, "kkt: warning: %s ran on %d shard(s), not the requested %d (shard count is clamped to the node count)\n",
-					res.Spec.Name, t.Shards, requested)
-				break
-			}
-		}
 	}
 }
 

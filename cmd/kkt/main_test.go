@@ -196,24 +196,15 @@ func TestObsHoldWithoutListenExitsTwo(t *testing.T) {
 	}
 }
 
-// TestShardFallbackWarns: asking for more shards than the engine can use
-// (the partition clamps to the node count) must warn on stderr instead of
-// silently running narrower than requested.
-func TestShardFallbackWarns(t *testing.T) {
-	code, _, stderr := exec(t, "run", "mst-build-fixed/ring/sync", "--trials", "1", "--shards", "4096")
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+// TestShardsFlagExitsTwo: the engine is single-threaded and has no shard
+// knob, so --shards is an undefined flag — a usage error, exit 2.
+func TestShardsFlagExitsTwo(t *testing.T) {
+	code, _, stderr := exec(t, "run", "mst-build-fixed/ring/sync", "--trials", "1", "--shards", "2")
+	if code != 2 {
+		t.Errorf("exit = %d, want 2 (usage error)", code)
 	}
-	if !strings.Contains(stderr, "not the requested 4096") {
-		t.Errorf("shard fallback not warned: %q", stderr)
-	}
-	// The honored case must stay quiet.
-	code, _, stderr = exec(t, "run", "mst-build-fixed/ring/sync", "--trials", "1", "--shards", "2")
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
-	}
-	if strings.Contains(stderr, "warning") {
-		t.Errorf("unexpected warning for an honored shard count: %q", stderr)
+	if !strings.Contains(stderr, "flag provided but not defined: -shards") {
+		t.Errorf("stderr = %q", stderr)
 	}
 }
 

@@ -43,7 +43,6 @@ func cmdScaling(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "base seed (identical seeds give byte-identical reports)")
 	density := fs.String("density", scaling.DensityQuad, "gnm density law: "+strings.Join(scaling.Densities, ", ")+" (quad grows m = n²/8 so o(m) is visible)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "shards per trial: multi-core single trials, reports byte-identical at any value")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget per trial (0 = none)")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of a table")
 	out := fs.String("out", "SCALING_sweep.json", "report file path")
@@ -60,7 +59,6 @@ func cmdScaling(args []string, stdout, stderr io.Writer) error {
 		Seeds:   *seeds,
 		Seed:    *seed,
 		Density: *density,
-		Shards:  *shards,
 		Workers: *workers,
 		Timeout: *timeout,
 	}
@@ -152,9 +150,14 @@ func splitVocab(stderr io.Writer, what, flagVal string, vocab []string, rename m
 	return out, nil
 }
 
+// maxLadderRungs bounds the rung count of a lo:hi:rungs ladder, so a
+// mistyped count cannot allocate without limit.
+const maxLadderRungs = 64
+
 // parseLadder parses the --ladder flag: either "lo:hi:rungs" (a geometric
-// ladder from lo to hi in the given number of rungs) or an explicit comma
-// list of sizes. Sizes take a k suffix meaning ×1024.
+// ladder from lo to hi in the given number of rungs, which must come out
+// strictly increasing) or an explicit comma list of sizes. Sizes take a k
+// suffix meaning ×1024.
 func parseLadder(s string) ([]int, error) {
 	if strings.Contains(s, ":") {
 		parts := strings.Split(s, ":")
@@ -170,8 +173,8 @@ func parseLadder(s string) ([]int, error) {
 			return nil, fmt.Errorf("malformed ladder %q: %v", s, err)
 		}
 		rungs, err := strconv.Atoi(parts[2])
-		if err != nil || rungs < 2 {
-			return nil, fmt.Errorf("malformed ladder %q: rung count %q, want an integer >= 2", s, parts[2])
+		if err != nil || rungs < 2 || rungs > maxLadderRungs {
+			return nil, fmt.Errorf("malformed ladder %q: rung count %q, want an integer >= 2 and <= %d", s, parts[2], maxLadderRungs)
 		}
 		if lo >= hi {
 			return nil, fmt.Errorf("malformed ladder %q: lo %d not below hi %d", s, lo, hi)
@@ -182,7 +185,12 @@ func parseLadder(s string) ([]int, error) {
 			frac := float64(i) / float64(rungs-1)
 			out[i] = int(float64(lo)*math.Pow(ratio, frac) + 0.5)
 		}
-		out[rungs-1] = hi
+		out[0], out[rungs-1] = lo, hi
+		for i := 1; i < rungs; i++ {
+			if out[i] <= out[i-1] {
+				return nil, fmt.Errorf("malformed ladder %q: %d rungs between %d and %d are not strictly increasing", s, rungs, lo, hi)
+			}
+		}
 		return out, nil
 	}
 	var out []int
@@ -213,6 +221,9 @@ func parseSize(s string) (int, error) {
 	n, err := strconv.Atoi(s)
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("size %q, want a positive integer (k suffix = ×1024)", s)
+	}
+	if n > math.MaxInt/mult {
+		return 0, fmt.Errorf("size %q×%d overflows int", s, mult)
 	}
 	return n * mult, nil
 }

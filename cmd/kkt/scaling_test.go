@@ -90,6 +90,14 @@ func TestScalingMalformedLadderExitsTwo(t *testing.T) {
 		{"64:4096", "want lo:hi:rungs"},
 		{"64:4096:1", "want an integer >= 2"},
 		{"64:4096:x", "want an integer >= 2"},
+		{"64:4096:65", "<= 64"},
+		{"2:4:10", "not strictly increasing"},
+		{"8:9:3", "not strictly increasing"},
+		{"1k:1025:3", "not strictly increasing"},
+		{"18014398509481984k", "overflows"},
+		{"9007199254740993k,64", "overflows"},
+		{"9223372036854775807K", "overflows"},
+		{"1:9007199254740993k:3", "overflows"},
 		{"abc,128", "positive integer"},
 		{"512", "want >= 2"},
 		{"512,512", "want >= 2"},
@@ -123,6 +131,9 @@ func TestParseLadderShapes(t *testing.T) {
 		want []int
 	}{
 		{"256:4096:5", []int{256, 512, 1024, 2048, 4096}},
+		{"128:512:3", []int{128, 256, 512}},
+		{"2:4:3", []int{2, 3, 4}},
+		{"8388607k", []int{8388607 * 1024}},
 		{"1k:4k:3", []int{1024, 2048, 4096}},
 		{"64,128, 256", []int{64, 128, 256}},
 		{"2k", []int{2048}},

@@ -119,7 +119,6 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	events := fs.Int("events", 0, "total update events to process (0 = 256 with --churn, full file with --trace)")
 	epochEvents := fs.Int("epoch-events", 64, "events ingested per epoch (checkpoint granularity)")
 	wave := fs.Int("wave", 0, "max concurrent repairs per admission wave (0 = admit default)")
-	shards := fs.Int("shards", 1, "engine shard lanes (execution knob; digests are shard-independent)")
 	churn := fs.String("churn", defaultChurn, "per-epoch churn plan, recompiled against the live topology (ignored with --trace)")
 	tracePath := fs.String("trace", "", "replay this trace file instead of generating churn")
 	ckptPath := fs.String("checkpoint", "", "write durable state to this file every --checkpoint-every epochs")
@@ -140,7 +139,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := serve.Config{
-		Algo: *algo, Seed: *seed, Wave: *wave, Shards: *shards,
+		Algo: *algo, Seed: *seed, Wave: *wave,
 		EpochEvents: *epochEvents, Events: *events,
 		CheckpointPath: *ckptPath, CheckpointEvery: *ckptEvery,
 	}
@@ -299,7 +298,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	g := spec.Build(0)
+	g := spec.Build()
 	var forest []int
 	switch *algo {
 	case "mst":

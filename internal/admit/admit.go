@@ -127,7 +127,7 @@ const opSeedPrime = 0xd6e8feb86659fd93
 
 // backoffDelay is the seeded, deterministic retry delay in waves: a pure
 // hash of (seed, event index, retry count), so reports stay byte-identical
-// at any shard count.
+// for a fixed seed.
 func backoffDelay(seed uint64, idx, retries, maxBackoff int) int {
 	h := seed ^ uint64(idx+1)*0x9e3779b97f4a7c15 ^ uint64(retries)*0xbf58476d1ce4e5b9
 	h ^= h >> 29

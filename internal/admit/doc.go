@@ -44,6 +44,6 @@
 // Determinism: admission order is scan order; backoff delays are a pure
 // hash of (seed, event index, retry count); wave drivers are spawned as
 // continuation tasks in admission order on one deterministic engine Run.
-// Reports are therefore byte-identical at any shard count, and a failure
+// Reports are therefore byte-identical for a fixed seed, and a failure
 // minimizes to (seed, plan prefix).
 package admit

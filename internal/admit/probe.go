@@ -22,8 +22,8 @@ const SideCap = 4096
 // longer part of the forest, and a just-inserted edge is not yet marked.
 //
 // The walk is centralized controller work, like the wave-start union-find:
-// it sends no messages and costs no rounds. It is deterministic at any
-// shard count because NodeState.Edges is sorted by neighbour ID.
+// it sends no messages and costs no rounds. It is deterministic because
+// NodeState.Edges is sorted by neighbour ID.
 //
 // The scratch is reused across calls; a prober is not safe for concurrent
 // use (launchers run admission scans single-threaded).

@@ -8,7 +8,6 @@ import (
 	"kkt/internal/bitwidth"
 	"kkt/internal/graph"
 	"kkt/internal/rng"
-	"kkt/internal/shard"
 )
 
 // NodeID identifies a processor; IDs are 1..n (compact, post-fingerprint).
@@ -319,20 +318,6 @@ type Network struct {
 
 	stagedDrops uint64 // staged mark changes dropped on vanished edges
 
-	// shards is the configured shard count (1 = single-threaded); see
-	// shard.go for the engine and the determinism contract. asyncMode
-	// records the scheduler choice so the sharded merge knows whether
-	// re-scheduling a staged send needs the per-link FIFO cell.
-	asyncMode bool
-	shards    int
-	shardEng  *shardEngine
-	// lane is non-nil only on a per-shard view of the network: the engine
-	// hands handlers a view whose mutating operations (sends, completions,
-	// message recycling, counter charges) divert into the shard's ordered
-	// lane instead of touching shared state. The root network's lane is
-	// nil and all operations apply directly.
-	lane *shardLane
-
 	// procFree recycles parked driver goroutines (with their channels)
 	// across spawns within one Run; allProcs lists every driver goroutine
 	// created since the pool was last drained, live counts the unfinished
@@ -377,7 +362,7 @@ type Network struct {
 // one of p (goroutine driver) or t (continuation task) is set. The queue
 // is drained strictly in append order, which is what makes driver
 // scheduling — and with it session serials and every derived random draw —
-// identical across shard counts.
+// a pure function of the seed.
 type wakeup struct {
 	p *Proc
 	t *Task
@@ -434,7 +419,6 @@ type config struct {
 	seed     uint64
 	async    bool
 	maxDelay int64
-	shards   int
 	obs      Observer
 	wd       Watchdog
 	ctx      context.Context
@@ -443,15 +427,6 @@ type config struct {
 // WithSeed sets the engine's random seed (async delays; protocols draw
 // their own randomness from driver-visible RNGs).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
-
-// WithShards partitions the nodes into s shards whose delivery batches —
-// synchronous rounds, or asynchronous same-tick groups — execute on
-// parallel workers. The sharded engine is observably identical to the
-// single-threaded one — delivery order, driver scheduling, session
-// serials, derived random draws and every counter are byte-for-byte the
-// same at any shard count — so s is purely a wall-clock knob. s <= 1
-// keeps the single-threaded path.
-func WithShards(s int) Option { return func(c *config) { c.shards = s } }
 
 // WithAsync switches to the asynchronous scheduler with per-message delays
 // uniform in [1, maxDelay] (FIFO per link). The paper's repair algorithms
@@ -516,16 +491,9 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 		sort.Sort(halfEdgesByNeighbor(nw.nodes[v].Edges))
 	}
 	if cfg.async {
-		nw.asyncMode = true
 		nw.sched = newAsyncScheduler(nw.rng.Split(), cfg.maxDelay)
 	} else {
 		nw.sched = newSyncScheduler()
-	}
-	if cfg.shards > 1 {
-		nw.shards = shard.NewPartition(g.N, cfg.shards).Shards()
-	}
-	if nw.shards < 1 {
-		nw.shards = 1
 	}
 	return nw
 }
@@ -623,17 +591,12 @@ func (nw *Network) HasHandler(kind KindID) bool {
 	return kind >= 0 && int(kind) < len(nw.handlers) && nw.handlers[kind] != nil
 }
 
-// getMessage pops a recycled Message or allocates a fresh one. On a shard
-// view the shard's private free list is used, so workers never contend.
+// getMessage pops a recycled Message or allocates a fresh one.
 func (nw *Network) getMessage() *Message {
-	free := &nw.msgFree
-	if nw.lane != nil {
-		free = &nw.lane.msgFree
-	}
-	if n := len(*free); n > 0 {
-		m := (*free)[n-1]
-		(*free)[n-1] = nil
-		*free = (*free)[:n-1]
+	if n := len(nw.msgFree); n > 0 {
+		m := nw.msgFree[n-1]
+		nw.msgFree[n-1] = nil
+		nw.msgFree = nw.msgFree[:n-1]
 		return m
 	}
 	return &Message{}
@@ -642,10 +605,6 @@ func (nw *Network) getMessage() *Message {
 // putMessage returns a delivered (or dropped) Message to the free list.
 func (nw *Network) putMessage(m *Message) {
 	m.Payload = nil // release the reference for GC
-	if nw.lane != nil {
-		nw.lane.msgFree = append(nw.lane.msgFree, m)
-		return
-	}
 	nw.msgFree = append(nw.msgFree, m)
 }
 
@@ -675,17 +634,6 @@ func (nw *Network) send(from, to NodeID, kind KindID, sid SessionID, bits int, p
 	if !nw.HasHandler(kind) {
 		panic(fmt.Sprintf("congest: no handler registered for kind %q", kind))
 	}
-	if l := nw.lane; l != nil {
-		// Sharded delivery in flight: stage the send in the shard's ordered
-		// lane. The global sequence number is assigned at the deterministic
-		// merge, in exactly the order a single-threaded round would have.
-		m := nw.getMessage()
-		m.From, m.To, m.Kind, m.Session = from, to, kind, sid
-		m.Bits, m.Payload, m.U, m.seq = bits, payload, u, 0
-		l.counters.charge(kind, total)
-		l.out.Push(l.id, l.parent, laneOp{m: m})
-		return
-	}
 	nw.nextSeq++
 	m := nw.getMessage()
 	m.From, m.To, m.Kind, m.Session = from, to, kind, sid
@@ -694,23 +642,10 @@ func (nw *Network) send(from, to NodeID, kind KindID, sid SessionID, bits int, p
 	nw.sched.schedule(m, &ns.Edges[ei].lastSched)
 }
 
-// fifoCell returns the per-directed-link FIFO cell the async scheduler
-// needs when a lane-staged send is re-scheduled at the merge, or nil under
-// the synchronous scheduler (which ignores it). The link is guaranteed to
-// exist: send validated it when staging, and topology only mutates from
-// drivers, strictly between batches.
-func (nw *Network) fifoCell(from, to NodeID) *int64 {
-	if !nw.asyncMode {
-		return nil
-	}
-	ns := nw.nodes[from]
-	return &ns.Edges[ns.edgePos(to)].lastSched
-}
-
 // AsyncConflicts returns how many emissions landed inside an open async
 // delivery window and were routed back to their reference position (see
 // asyncScheduler.winInsert). Zero under the synchronous scheduler.
-// Deterministic per seed, and identical at any shard count.
+// Deterministic per seed.
 func (nw *Network) AsyncConflicts() uint64 {
 	if s, ok := nw.sched.(*asyncScheduler); ok {
 		return s.conflicts
@@ -737,13 +672,8 @@ func (nw *Network) freeSession(s *session) {
 }
 
 // NewSession allocates a session. onQuiescence may be nil. Sessions are a
-// driver-side concept: creating one from a message handler would make the
-// serial order (and with it all derived randomness) depend on delivery
-// interleaving, so it is rejected outright on a shard view.
+// driver-side concept: protocol handlers must not create them.
 func (nw *Network) NewSession(onQuiescence func() (any, error)) SessionID {
-	if nw.lane != nil {
-		panic("congest: NewSession from a message handler — sessions are created by drivers")
-	}
 	var slot int
 	if n := len(nw.freeSlots); n > 0 {
 		slot = int(nw.freeSlots[n-1])
@@ -787,14 +717,6 @@ func (nw *Network) CompleteSessionU(sid SessionID, u uint64, err error) {
 }
 
 func (nw *Network) completeSession(sid SessionID, w Wake) {
-	if l := nw.lane; l != nil {
-		// Sharded delivery in flight: defer the completion into the lane.
-		// It applies (slot mutation, waiter wakeup, double-complete checks
-		// and all) at the deterministic merge, interleaved with the
-		// handler's sends in emission order.
-		l.out.Push(l.id, l.parent, laneOp{sid: sid, w: w, complete: true})
-		return
-	}
 	s := nw.lookupSession(sid)
 	if s == nil {
 		panic(fmt.Sprintf("congest: completing unknown session %d", sid))
@@ -807,9 +729,6 @@ func (nw *Network) completeSession(sid SessionID, w Wake) {
 	// cost on this path.
 	nw.completions++
 	if nw.obs != nil {
-		// Lane-deferred completions reached this root path via the ordered
-		// merge, so the hook fires on the engine goroutine in
-		// single-threaded order at any shard count.
 		nw.obs.SessionDone(sid.Serial(), nw.sched.now(), w.err != nil)
 	}
 	if s.waiter != nil {
@@ -854,31 +773,9 @@ func (nw *Network) ResetCounters() { nw.counters.reset() }
 func (nw *Network) Now() int64 { return nw.sched.now() }
 
 // Rand returns a sub-RNG for protocol use, split off the engine stream.
-// Driver-side only: a handler drawing from the shared stream would tie the
-// draws to delivery interleaving, so shard views reject it.
-func (nw *Network) Rand() *rng.RNG {
-	if nw.lane != nil {
-		panic("congest: Rand from a message handler — use deterministic per-node randomness instead")
-	}
-	return nw.rng.Split()
-}
-
-// Lanes returns the number of execution lanes protocol state pools should
-// be provisioned for: the shard count (1 when unsharded). Lane-indexed
-// pools are how protocol layers keep their free lists contention-free
-// under the sharded engine.
-func (nw *Network) Lanes() int { return nw.shards }
-
-// LaneID identifies the execution lane of this network value: shard
-// workers see their shard index, everything driver-side sees 0. Drivers
-// and shard 0 share lane 0 — they never run concurrently, so sharing its
-// pools is safe.
-func (nw *Network) LaneID() int {
-	if nw.lane != nil {
-		return nw.lane.id
-	}
-	return 0
-}
+// Driver-side only: handlers use deterministic per-node randomness
+// instead.
+func (nw *Network) Rand() *rng.RNG { return nw.rng.Split() }
 
 // --- topology mutation (the "environment": uncharged) ---
 

@@ -20,8 +20,7 @@ import (
 // completions append to the one run queue, which the engine drains in
 // order, so controllers and tasks interleave in a fixed order — same
 // network-call order, same session serials, same derived randomness on
-// every run, which keeps seeded reports byte-identical across shard
-// counts.
+// every run, which keeps seeded reports byte-identical.
 
 // StepDriver is the state-machine body of a continuation driver. The
 // engine calls Step once when the task starts (with a zero Wake) and once

@@ -38,19 +38,6 @@ func (l *ledger) charge(kind KindID, bits int) {
 	kc.Bits += uint64(bits)
 }
 
-// merge adds another ledger's tallies into this one. Addition is exact and
-// commutative, so the sharded engine's per-shard blocks fold into totals
-// identical to single-threaded charging regardless of shard count.
-func (l *ledger) merge(other *ledger) {
-	l.messages += other.messages
-	l.bits += other.bits
-	l.ensure(len(other.byKind))
-	for i := range other.byKind {
-		l.byKind[i].Messages += other.byKind[i].Messages
-		l.byKind[i].Bits += other.byKind[i].Bits
-	}
-}
-
 func (l *ledger) reset() {
 	l.messages, l.bits = 0, 0
 	for i := range l.byKind {

@@ -34,7 +34,7 @@
 // messages sharing the earliest pending virtual time, extracted in bounded
 // windows from a calendar queue — with seeded pseudo-random delays and
 // per-link FIFO order. Emissions landing inside the open window are routed
-// to their exact reference position, so windowed (and sharded) async
+// to their exact reference position, so windowed async
 // delivery is byte-identical to a one-event-at-a-time replay.
 //
 // # Invariants
@@ -57,22 +57,14 @@
 // exactly once (completion hands it straight to a parked waiter, or a
 // later Await/Step pops it), which is what lets the slot recycle
 // immediately. Serials are what deterministic derived randomness hashes
-// (tree.Protocol.NodeRand): they never depend on recycling order or
-// shard count.
+// (tree.Protocol.NodeRand): they never depend on recycling order.
 //
 // Determinism. For a fixed seed, every run is byte-identical in all
 // observables — delivery order, driver scheduling, session serials,
-// derived random draws, every counter — regardless of shard count
-// (WithShards). Spawns and completions append to one run queue drained
-// in order; the sharded round barrier replays worker effects in
-// single-threaded order before the queue is drained again (see shard.go
-// and the shard-view restrictions below).
-//
-// Shard views. During a sharded round, handlers run on per-shard *Network
-// views whose mutating operations divert into an ordered per-shard lane;
-// operations that would tie global state to delivery interleaving
-// (NewSession, Rand) panic on a view. Handlers must route every engine
-// call through the *Network they are handed, never a captured root
-// network. Near-empty rounds are delivered inline on the engine goroutine
-// (the reference order) rather than paying the worker barrier.
+// derived random draws, every counter. Delivery is single-threaded: the
+// engine goroutine hands each batch's messages to their handlers in batch
+// order, and spawns and completions append to one run queue drained in
+// order. Sessions and engine randomness (NewSession, Rand) are
+// driver-side only; handlers draw deterministic per-node randomness
+// instead, so no draw depends on delivery interleaving.
 package congest

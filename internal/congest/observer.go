@@ -3,20 +3,13 @@ package congest
 import "sort"
 
 // Observer receives engine trace events. The engine drives it only at its
-// natural barriers — never from inside a shard worker — so every callback
-// runs on the engine goroutine, in an order that is identical across shard
-// counts:
+// natural barriers, on the engine goroutine, so the callback order is a
+// pure function of the seed:
 //
-//   - RoundEnd fires after a delivery batch has fully applied (for sharded
-//     rounds: after the ordered merge folded every lane's counter block into
-//     the root ledger), so the totals it carries are the exact
-//     single-threaded values.
-//   - SessionOpen fires from NewSession, which is driver-context-only by
-//     construction.
-//   - SessionDone fires on the root path of session completion. A completion
-//     issued inside a sharded handler is deferred into the shard's ordered
-//     lane and replayed at the merge, so the hook still fires on the engine
-//     goroutine in single-threaded order.
+//   - RoundEnd fires after a delivery batch has fully applied, so the totals
+//     it carries are the batch's final ledger values.
+//   - SessionOpen fires from NewSession, which is driver-context-only.
+//   - SessionDone fires on session completion, from a handler or a driver.
 //   - PhaseStart/PhaseEnd/RepairStart/RepairDone/Count are protocol-layer
 //     annotations, called from drivers between rounds.
 //
@@ -31,9 +24,9 @@ import "sort"
 // and benchcheck gates unmoved.
 type Observer interface {
 	// RoundEnd reports the cost ledger after one delivery batch: the
-	// scheduler clock, cumulative totals, the per-kind breakdown indexed by
-	// KindID, and — under the sharded engine — the cumulative number of
-	// messages each shard worker has handled (nil when unsharded).
+	// scheduler clock, cumulative totals and the per-kind breakdown indexed
+	// by KindID. shardLoad is always nil: the engine is single-threaded, and
+	// the parameter stays only so existing implementations keep compiling.
 	RoundEnd(now int64, messages, bits uint64, byKind []KindCount, shardLoad []uint64)
 	// SessionOpen reports a session's creation serial.
 	SessionOpen(serial uint64, now int64)
@@ -68,8 +61,8 @@ func WithObserver(o Observer) Option { return func(c *config) { c.obs = o } }
 func (nw *Network) Obs() Observer { return nw.obs }
 
 // observeRound emits the RoundEnd hook; the caller checks nw.obs != nil.
-func (nw *Network) observeRound(shardLoad []uint64) {
-	nw.obs.RoundEnd(nw.sched.now(), nw.counters.messages, nw.counters.bits, nw.counters.byKind, shardLoad)
+func (nw *Network) observeRound() {
+	nw.obs.RoundEnd(nw.sched.now(), nw.counters.messages, nw.counters.bits, nw.counters.byKind, nil)
 }
 
 // ClassCost is the message/bit tally of one kind class (the dot-prefix of

@@ -10,16 +10,15 @@ import (
 
 // recObserver records every hook invocation for assertions.
 type recObserver struct {
-	rounds    int
-	messages  uint64
-	bits      uint64
-	kinds     int
-	opened    int
-	done      int
-	failed    int
-	phases    []PhaseCosts
-	counts    map[string]uint64
-	shardLoad uint64
+	rounds   int
+	messages uint64
+	bits     uint64
+	kinds    int
+	opened   int
+	done     int
+	failed   int
+	phases   []PhaseCosts
+	counts   map[string]uint64
 }
 
 func (r *recObserver) RoundEnd(now int64, messages, bits uint64, byKind []KindCount, shardLoad []uint64) {
@@ -27,10 +26,6 @@ func (r *recObserver) RoundEnd(now int64, messages, bits uint64, byKind []KindCo
 	r.messages = messages
 	r.bits = bits
 	r.kinds = len(byKind)
-	r.shardLoad = 0
-	for _, l := range shardLoad {
-		r.shardLoad += l
-	}
 }
 func (r *recObserver) SessionOpen(serial uint64, now int64) { r.opened++ }
 func (r *recObserver) SessionDone(serial uint64, now int64, failed bool) {

@@ -305,14 +305,6 @@ func (nw *Network) Run() error {
 		nw.wdLastProgress = nw.sched.now()
 	}
 
-	// The sharded executor engages for any multi-shard network — sync
-	// rounds and async tick groups batch the same way; its worker
-	// goroutines live exactly as long as this Run.
-	var se *shardEngine
-	if nw.shards > 1 {
-		se = nw.ensureShardEngine()
-		defer nw.closeShardEngine(se)
-	}
 	// Drain the driver pools on every exit path: parked goroutines and
 	// pooled tasks must not outlive the Run that created them. LIFO defer
 	// order makes drainProcPool run first — unwinding drivers may still
@@ -348,35 +340,19 @@ func (nw *Network) Run() error {
 		// the scheduler and recycled; delivered messages go back to the
 		// free list, so steady-state delivery allocates nothing.
 		if batch := nw.sched.nextBatch(); batch != nil {
-			// Near-empty rounds (election-token convergence, probe tails)
-			// don't amortize the worker barrier's two channel ops per
-			// shard; deliver them inline. The inline path IS the
-			// single-threaded reference order, so the choice is invisible
-			// to the determinism contract.
-			if se != nil && len(batch) >= shardMinBatch {
-				nw.deliverSharded(se, batch)
-			} else {
-				for i, m := range batch {
-					h := nw.handlers[m.Kind] // non-nil: Send checks registration
-					node := nw.nodes[m.To]
-					if node.edgePos(m.From) >= 0 {
-						h(nw, node, m)
-					}
-					// else: the link vanished while the message was in flight
-					// (dynamic deletion). The model drops it.
-					nw.putMessage(m)
-					batch[i] = nil
+			for i, m := range batch {
+				h := nw.handlers[m.Kind] // non-nil: Send checks registration
+				node := nw.nodes[m.To]
+				if node.edgePos(m.From) >= 0 {
+					h(nw, node, m)
 				}
+				// else: the link vanished while the message was in flight
+				// (dynamic deletion). The model drops it.
+				nw.putMessage(m)
+				batch[i] = nil
 			}
 			if nw.obs != nil {
-				// The batch is fully applied (sharded rounds: lanes merged
-				// and counter blocks folded), so the observer sees the exact
-				// single-threaded ledger values.
-				var load []uint64
-				if se != nil {
-					load = se.load
-				}
-				nw.observeRound(load)
+				nw.observeRound()
 			}
 			if nw.wdArmed || nw.ctx != nil {
 				// Watchdog/cancellation check, once per delivery batch: a
@@ -465,14 +441,3 @@ func (nw *Network) Run() error {
 
 // maxDeadlockResolutions bounds the unwind loop after a deadlock diagnosis.
 const maxDeadlockResolutions = 1 << 16
-
-// shardMinBatch is the smallest delivery batch (synchronous round or async
-// tick group) worth dispatching to the shard workers. Below it the barrier
-// overhead (two channel operations per worker plus the ordered merge)
-// exceeds the handler work, so the batch is delivered inline on the engine
-// goroutine — which is the reference order the sharded merge reproduces
-// anyway, so the threshold cannot affect any observable. Sized so a batch
-// must carry at least a few dozen messages per expected worker before
-// fan-out pays. A var only so tests can force the sharded path for tiny
-// batches.
-var shardMinBatch = 128

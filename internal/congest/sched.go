@@ -75,8 +75,8 @@ func (s *syncScheduler) now() int64  { return s.round }
 // Delivery is windowed: nextBatch extracts up to asyncWindowTicks occupied
 // ticks from the calendar in one forward scan and then hands them to the
 // engine one tick group at a time — every message of a group shares one
-// deliverAt, so a group is the async analogue of a synchronous round and
-// shards cleanly by destination. Emissions that land at a tick the open
+// deliverAt, so a group is the async analogue of a synchronous round.
+// Emissions that land at a tick the open
 // window already covers (at <= win.end) are conflicts: winInsert routes
 // them to their exact (deliverAt, seq) reference position among the
 // not-yet-delivered groups, so the delivery sequence is identical to a

@@ -260,8 +260,7 @@ func (d *fragDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, b
 
 // enterPhase initialises a node's per-phase state, forwards the fragment
 // broadcast to its tree children, answers deferred probes and starts its
-// own probing. nw is the network view of the calling context (the shard
-// view inside handlers), so every send lands in the right lane.
+// own probing.
 func (g *Protocol) enterPhase(nw *congest.Network, node *congest.NodeState, st *nodeState, phase int, fragID, parent congest.NodeID) {
 	st.phase = phase
 	st.fragID = fragID

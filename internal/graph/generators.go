@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"kkt/internal/rng"
@@ -115,106 +114,20 @@ func Complete(n int, u uint64, w WeightFunc) *Graph {
 // m-(n-1) distinct random chords. It panics if m < n-1 or m exceeds the
 // number of possible edges.
 func GNM(r *rng.RNG, n, m int, u uint64, w WeightFunc) *Graph {
-	return GNMWorkers(r, n, m, u, w, 1)
-}
-
-// gnmParallelMin is the smallest chord batch worth fanning out to check
-// workers; below it goroutine handoff costs more than the lookups.
-const gnmParallelMin = 4096
-
-// GNMWorkers is GNM with the chord duplicate checks spread over parallel
-// workers. The output is byte-identical to GNM at any worker count — the
-// candidate and weight RNG streams advance exactly as in the sequential
-// rejection loop — so a seeded trial may size workers to its shard count
-// freely.
-//
-// How the equivalence works: the sequential loop draws candidate pairs
-// from r one at a time and accepts a pair iff it is not a self-loop, not
-// already an edge, and not a duplicate of an earlier accept. While n_acc
-// accepts are still needed, the next n_acc draws happen unconditionally
-// (each draw yields at most one accept), so the generator may draw them as
-// one batch without disturbing the stream. Membership checks against the
-// pre-batch graph — the expensive part at millions of edges — then run on
-// parallel workers over chunk of the batch; within-batch duplicates are
-// resolved sequentially in draw order, reproducing the rejection loop's
-// accept sequence exactly. Weights are drawn in accept order, as always.
-func GNMWorkers(r *rng.RNG, n, m int, u uint64, w WeightFunc, workers int) *Graph {
 	maxM := n * (n - 1) / 2
 	if m < n-1 || m > maxM {
 		panic(fmt.Sprintf("graph: GNM with m=%d outside [n-1=%d, %d]", m, n-1, maxM))
 	}
 	g := RandomTree(r, n, u, w)
 	k := n - 1
-
-	var cand [][2]uint32
-	var taken []bool
-	var seen map[uint64]struct{}
 	for g.M() < m {
-		need := m - g.M()
-		if workers < 2 || need < gnmParallelMin {
-			// The plain rejection loop; also the reference the batched
-			// path must match draw for draw.
-			a := uint32(r.Intn(n) + 1)
-			b := uint32(r.Intn(n) + 1)
-			if a == b || g.HasEdge(a, b) {
-				continue
-			}
-			g.MustAddEdge(a, b, w(k))
-			k++
+		a := uint32(r.Intn(n) + 1)
+		b := uint32(r.Intn(n) + 1)
+		if a == b || g.HasEdge(a, b) {
 			continue
 		}
-		// Draw the next `need` candidates of the sequential stream.
-		if cap(cand) < need {
-			cand = make([][2]uint32, need)
-			taken = make([]bool, need)
-		}
-		cand = cand[:need]
-		taken = taken[:need]
-		for i := range cand {
-			cand[i] = [2]uint32{uint32(r.Intn(n) + 1), uint32(r.Intn(n) + 1)}
-		}
-		// Parallel phase: mark candidates rejected by the pre-batch graph.
-		// Workers only read the graph, so chunks need no coordination
-		// beyond the final join.
-		var wg sync.WaitGroup
-		chunk := (need + workers - 1) / workers
-		for lo := 0; lo < need; lo += chunk {
-			hi := lo + chunk
-			if hi > need {
-				hi = need
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					a, b := cand[i][0], cand[i][1]
-					taken[i] = a == b || g.HasEdge(a, b)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		// Sequential resolve in draw order: within-batch duplicates reject
-		// exactly as the rejection loop would have.
-		if seen == nil {
-			seen = make(map[uint64]struct{}, need)
-		}
-		for i := 0; i < need && g.M() < m; i++ {
-			if taken[i] {
-				continue
-			}
-			a, b := cand[i][0], cand[i][1]
-			if a > b {
-				a, b = b, a
-			}
-			key := uint64(a)<<32 | uint64(b)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			g.MustAddEdge(a, b, w(k))
-			k++
-		}
-		clear(seen)
+		g.MustAddEdge(a, b, w(k))
+		k++
 	}
 	return g
 }
@@ -223,14 +136,6 @@ func GNMWorkers(r *rng.RNG, n, m int, u uint64, w WeightFunc, workers int) *Grap
 // present independently with probability p, and a random tree over the
 // leftover components stitches the graph connected.
 func GNP(r *rng.RNG, n int, p float64, u uint64, w WeightFunc) *Graph {
-	return GNPWorkers(r, n, p, u, w, 1)
-}
-
-// GNPWorkers is GNP with the connectivity patching's component labelling
-// run on parallel workers; byte-identical to GNP at any worker count (the
-// edge draws are one sequential Bernoulli stream by definition, and the
-// component partition is a function of the graph alone).
-func GNPWorkers(r *rng.RNG, n int, p float64, u uint64, w WeightFunc, workers int) *Graph {
 	g := MustNew(n, u)
 	k := 0
 	for a := 1; a <= n; a++ {
@@ -241,7 +146,7 @@ func GNPWorkers(r *rng.RNG, n int, p float64, u uint64, w WeightFunc, workers in
 			}
 		}
 	}
-	stitchConnected(r, g, w, &k, workers)
+	stitchConnected(r, g, w, &k)
 	return g
 }
 
@@ -330,25 +235,6 @@ func HypercubeN(n int, u uint64, w WeightFunc) *Graph {
 // joining any leftover components. With radius ~ sqrt(log n / n) the
 // expected edge count grows as n·log n.
 func RandomGeometric(r *rng.RNG, n int, radius float64, u uint64, w WeightFunc) *Graph {
-	return RandomGeometricWorkers(r, n, radius, u, w, 1)
-}
-
-// rggParallelMin is the smallest node count worth fanning the pair checks
-// out to workers.
-const rggParallelMin = 2048
-
-// RandomGeometricWorkers is RandomGeometric with the radius checks spread
-// over parallel workers; the output is byte-identical at any worker count.
-//
-// How the equivalence works: the point set is one sequential stream of 2n
-// uniform draws, fixed before any worker starts. The edge set is then a
-// pure function of the points — each worker scans a contiguous range of
-// lower endpoints a against the bucket grid and collects {a,b} pairs in
-// (a ascending, b ascending) order into its own slice, so concatenating
-// the per-worker slices in range order reproduces the sequential scan's
-// edge order exactly. Weights are drawn sequentially in that order after
-// the join, and connectivity stitching reuses the same seeded path as GNP.
-func RandomGeometricWorkers(r *rng.RNG, n int, radius float64, u uint64, w WeightFunc, workers int) *Graph {
 	if n < 1 {
 		panic("graph: geometric needs n >= 1")
 	}
@@ -385,72 +271,39 @@ func RandomGeometricWorkers(r *rng.RNG, n int, radius float64, u uint64, w Weigh
 		buckets[cy*side+cx] = append(buckets[cy*side+cx], int32(v))
 	}
 	rad2 := radius * radius
-	// collect gathers the within-radius pairs {a,b} with a in [lo, hi],
-	// b > a, in (a asc, b asc) order.
-	collect := func(lo, hi int) [][2]uint32 {
-		var out [][2]uint32
-		var cand []int32
-		for a := lo; a <= hi; a++ {
-			cx, cy := cell(a)
-			cand = cand[:0]
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					nx, ny := cx+dx, cy+dy
-					if nx < 0 || nx >= side || ny < 0 || ny >= side {
+	// Scan lower endpoints a ascending and, for each, its within-radius
+	// partners b > a ascending: the edge order is a pure function of the
+	// point set.
+	k := 0
+	var cand []int32
+	for a := 1; a <= n; a++ {
+		cx, cy := cell(a)
+		cand = cand[:0]
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				nx, ny := cx+dx, cy+dy
+				if nx < 0 || nx >= side || ny < 0 || ny >= side {
+					continue
+				}
+				for _, b := range buckets[ny*side+nx] {
+					if int(b) <= a {
 						continue
 					}
-					for _, b := range buckets[ny*side+nx] {
-						if int(b) <= a {
-							continue
-						}
-						ddx := xs[a] - xs[b]
-						ddy := ys[a] - ys[b]
-						if ddx*ddx+ddy*ddy <= rad2 {
-							cand = append(cand, b)
-						}
+					ddx := xs[a] - xs[b]
+					ddy := ys[a] - ys[b]
+					if ddx*ddx+ddy*ddy <= rad2 {
+						cand = append(cand, b)
 					}
 				}
 			}
-			sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-			for _, b := range cand {
-				out = append(out, [2]uint32{uint32(a), uint32(b)})
-			}
 		}
-		return out
-	}
-	var pairs [][2]uint32
-	if workers > 1 && n >= rggParallelMin {
-		chunks := make([][][2]uint32, workers)
-		var wg sync.WaitGroup
-		per := (n + workers - 1) / workers
-		for wi := 0; wi < workers; wi++ {
-			lo := 1 + wi*per
-			hi := lo + per - 1
-			if hi > n {
-				hi = n
-			}
-			if lo > n {
-				break
-			}
-			wg.Add(1)
-			go func(wi, lo, hi int) {
-				defer wg.Done()
-				chunks[wi] = collect(lo, hi)
-			}(wi, lo, hi)
+		sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+		for _, b := range cand {
+			g.MustAddEdge(uint32(a), uint32(b), w(k))
+			k++
 		}
-		wg.Wait()
-		for _, c := range chunks {
-			pairs = append(pairs, c...)
-		}
-	} else {
-		pairs = collect(1, n)
 	}
-	k := 0
-	for _, p := range pairs {
-		g.MustAddEdge(p[0], p[1], w(k))
-		k++
-	}
-	stitchConnected(r, g, w, &k, workers)
+	stitchConnected(r, g, w, &k)
 	return g
 }
 
@@ -526,11 +379,10 @@ func Barbell(k, pathLen int, u uint64, w WeightFunc) *Graph {
 }
 
 // stitchConnected adds random edges between components until the graph is
-// connected. The component labelling (the expensive part at scale) fans
-// out over the given worker count.
-func stitchConnected(r *rng.RNG, g *Graph, w WeightFunc, k *int, workers int) {
+// connected.
+func stitchConnected(r *rng.RNG, g *Graph, w WeightFunc, k *int) {
 	for {
-		comp, ncomp := componentsWorkers(g, workers)
+		comp, ncomp := components(g)
 		if ncomp <= 1 {
 			return
 		}
@@ -555,50 +407,15 @@ func stitchConnected(r *rng.RNG, g *Graph, w WeightFunc, k *int, workers int) {
 }
 
 // components labels nodes with component indices 0..ncomp-1 (index 0 of the
-// returned slice is unused).
+// returned slice is unused), via union-find over the edge list.
 func components(g *Graph) (comp []int, ncomp int) {
-	return componentsWorkers(g, 1)
-}
-
-// ufParallelMin is the smallest edge count worth fanning component unions
-// out to workers.
-const ufParallelMin = 1 << 15
-
-// componentsWorkers labels components via union-find, unioning edge chunks
-// on parallel workers. The lock-free union (CAS only ever retargets a
-// root, path halving only ever shortcuts toward an ancestor) computes the
-// connectivity partition, which is a function of the edge set alone, so
-// the result is independent of worker count and interleaving; labels are
-// then canonicalised in first-node order — exactly the numbering the old
-// sequential DFS produced.
-func componentsWorkers(g *Graph, workers int) (comp []int, ncomp int) {
 	n := g.N
 	parent := make([]uint32, n+1)
 	for i := range parent {
 		parent[i] = uint32(i)
 	}
-	edges := g.Edges()
-	if workers > 1 && len(edges) >= ufParallelMin {
-		var wg sync.WaitGroup
-		chunk := (len(edges) + workers - 1) / workers
-		for lo := 0; lo < len(edges); lo += chunk {
-			hi := lo + chunk
-			if hi > len(edges) {
-				hi = len(edges)
-			}
-			wg.Add(1)
-			go func(part []Edge) {
-				defer wg.Done()
-				for _, e := range part {
-					ufUnion(parent, e.A, e.B)
-				}
-			}(edges[lo:hi])
-		}
-		wg.Wait()
-	} else {
-		for _, e := range edges {
-			ufUnion(parent, e.A, e.B)
-		}
+	for _, e := range g.Edges() {
+		ufUnion(parent, e.A, e.B)
 	}
 	// Canonical labels: scanning nodes in ascending order, a component is
 	// numbered when its first (smallest) node appears — matching the DFS

@@ -184,44 +184,6 @@ func fingerprint(g *Graph) uint64 {
 	return h
 }
 
-// TestGNMWorkersByteIdentical is the golden gate of the parallel
-// generator: at any worker count the edge list matches the sequential
-// rejection loop edge for edge, and the candidate RNG stream ends at the
-// same position. The size is chosen so the first chord batch (6001
-// candidates) exceeds gnmParallelMin and genuinely exercises the
-// fan-out/resolve path.
-func TestGNMWorkersByteIdentical(t *testing.T) {
-	const n, m = 2000, 8000
-	gen := func(workers int) (*Graph, uint64) {
-		r := rng.New(42)
-		g := GNMWorkers(r, n, m, 1000, UniformWeights(rng.New(43), 1000), workers)
-		return g, r.Uint64() // the stream position after generation is part of the contract
-	}
-	want, wantNext := gen(1)
-	if err := want.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		got, gotNext := gen(workers)
-		if got.M() != want.M() {
-			t.Fatalf("workers=%d: %d edges, want %d", workers, got.M(), want.M())
-		}
-		for i := range want.Edges() {
-			if got.Edge(i) != want.Edge(i) {
-				t.Fatalf("workers=%d: edge %d = %+v, want %+v", workers, i, got.Edge(i), want.Edge(i))
-			}
-		}
-		if gotNext != wantNext {
-			t.Errorf("workers=%d: RNG stream diverged after generation", workers)
-		}
-	}
-	// And GNM itself must be the workers=1 path.
-	seq := GNM(rng.New(42), n, m, 1000, UniformWeights(rng.New(43), 1000))
-	if fingerprint(seq) != fingerprint(want) {
-		t.Error("GNM and GNMWorkers(1) diverge")
-	}
-}
-
 // TestGNMFingerprintPinned pins one seeded GNM output outright, so any
 // accidental change to the generation algorithm (which would silently
 // re-roll every seeded scenario in the suite) fails loudly.
@@ -309,33 +271,6 @@ func TestRandomGeometric(t *testing.T) {
 	}
 }
 
-// TestRandomGeometricWorkersByteIdentical: the parallel pair scan emits
-// the same edges in the same order at any worker count, and the RNG
-// stream ends at the same position. n exceeds rggParallelMin so the
-// fan-out genuinely runs.
-func TestRandomGeometricWorkersByteIdentical(t *testing.T) {
-	const n = 3000
-	rad := GeometricRadius(n)
-	gen := func(workers int) (*Graph, uint64) {
-		r := rng.New(21)
-		g := RandomGeometricWorkers(r, n, rad, 1000, UniformWeights(rng.New(22), 1000), workers)
-		return g, r.Uint64()
-	}
-	want, wantNext := gen(1)
-	if err := want.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		got, gotNext := gen(workers)
-		if fingerprint(got) != fingerprint(want) {
-			t.Fatalf("workers=%d: geometric graph diverges from sequential", workers)
-		}
-		if gotNext != wantNext {
-			t.Errorf("workers=%d: RNG stream diverged after generation", workers)
-		}
-	}
-}
-
 // TestGeometricFingerprintPinned pins one seeded geometric output.
 func TestGeometricFingerprintPinned(t *testing.T) {
 	g := RandomGeometric(rng.New(21), 400, GeometricRadius(400), 1000, UniformWeights(rng.New(22), 1000))
@@ -391,12 +326,11 @@ func TestPowerLawTailHeavierThanGNM(t *testing.T) {
 	}
 }
 
-// TestComponentsWorkersMatch: the parallel union-find labelling agrees
-// with the sequential one on a graph large enough to cross ufParallelMin
-// (so the CAS path really runs, including under -race).
-func TestComponentsWorkersMatch(t *testing.T) {
-	// Two large GNM blobs plus isolated nodes: several components, ~40k
-	// edges.
+// TestComponentsCanonicalLabels: union-find labelling finds every
+// component and numbers them in first-node order — the numbering
+// stitchConnected relies on.
+func TestComponentsCanonicalLabels(t *testing.T) {
+	// Two GNM blobs plus 100 isolated nodes: 102 components, ~40k edges.
 	w := UniformWeights(rng.New(10), 100)
 	g := MustNew(2100, 100)
 	blob := func(lo, n, m int) {
@@ -407,34 +341,22 @@ func TestComponentsWorkersMatch(t *testing.T) {
 	}
 	blob(0, 1000, 20000)
 	blob(1000, 1000, 20000)
-	seqComp, seqN := componentsWorkers(g, 1)
-	for _, workers := range []int{2, 4, 7} {
-		parComp, parN := componentsWorkers(g, workers)
-		if parN != seqN {
-			t.Fatalf("workers=%d: %d components, want %d", workers, parN, seqN)
-		}
-		for v := 1; v <= g.N; v++ {
-			if parComp[v] != seqComp[v] {
-				t.Fatalf("workers=%d: comp[%d] = %d, want %d", workers, v, parComp[v], seqComp[v])
-			}
+	comp, ncomp := components(g)
+	if ncomp != 102 {
+		t.Fatalf("%d components, want 102", ncomp)
+	}
+	for _, e := range g.Edges() {
+		if comp[e.A] != comp[e.B] {
+			t.Fatalf("edge {%d,%d} spans components %d and %d", e.A, e.B, comp[e.A], comp[e.B])
 		}
 	}
-}
-
-// TestGNPWorkersByteIdentical: connectivity patching with parallel
-// labelling stitches exactly the same edges.
-func TestGNPWorkersByteIdentical(t *testing.T) {
-	gen := func(workers int) *Graph {
-		return GNPWorkers(rng.New(6), 300, 0.004, 50, UniformWeights(rng.New(7), 50), workers)
-	}
-	want := gen(1)
-	if !isConnected(want) {
-		t.Fatal("GNP not stitched connected")
-	}
-	for _, workers := range []int{2, 4} {
-		got := gen(workers)
-		if fingerprint(got) != fingerprint(want) {
-			t.Fatalf("workers=%d: stitched graph diverges", workers)
+	next := 0
+	for v := 1; v <= g.N; v++ {
+		switch {
+		case comp[v] == next:
+			next++
+		case comp[v] > next:
+			t.Fatalf("comp[%d] = %d before label %d appeared", v, comp[v], next)
 		}
 	}
 }

@@ -8,15 +8,13 @@
 //
 // # Invariants
 //
-// Seed identity. A trial is identified by (scenario, seed) alone.
-// Worker count and shard count (RunConfig.Shards) are execution knobs:
-// identical seeds produce byte-identical serialized reports at any value
-// of either. The cross-checks in shard_test.go enforce this over the
-// whole small suite, and CI diffs full bench reports at --shards 1 vs 4.
+// Seed identity. A trial is identified by (scenario, seed) alone. The
+// worker count (RunConfig.Workers) is an execution knob: identical seeds
+// produce byte-identical serialized reports at any value. The repeat-run
+// tests enforce this, and CI diffs full bench reports at --workers 1 vs 2.
 //
-// Entry points. RunTrial runs one unobserved single-shard trial;
-// RunTrialContext adds the shard count, a passive observer and a
-// cancellation context. The runner (RunAll) drives every trial through
+// Entry points. RunTrial runs one unobserved trial; RunTrialContext adds
+// a passive observer and a cancellation context. The runner (RunAll) drives every trial through
 // RunTrialContext.
 //
 // Isolation. The runner builds one private Network per trial; trials
@@ -24,8 +22,7 @@
 // panic (converted to a TrialMetrics.Error) cannot poison a sweep.
 //
 // Serialization. TrialMetrics fields describing execution footprint
-// (Shards, PeakDriverGoroutines, PeakDriverTasks, PeakLiveDrivers,
-// HeapSysMB) carry json:"-": they are observations about the process,
+// (PeakDriverGoroutines, PeakDriverTasks, PeakLiveDrivers, HeapSysMB) carry json:"-": they are observations about the process,
 // not the simulated protocol, and serializing them would trivially break
 // the report byte-identity contract. Report ordering is deterministic —
 // scenarios sort by name, trials by index — so byte comparison of

@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// TestScalingFamilyScenariosShardIdentical runs the three scaling-family
-// build scenarios (powerlaw / geometric / hypercube) end to end: each must
+// TestScalingFamilyScenariosValid runs the three scaling-family build
+// scenarios (powerlaw / geometric / hypercube) end to end: each must
 // produce a validated MSF, record the generated edge count, and report
-// byte-identical metrics at shard counts 1 and 4 — the same contract the
-// CLI exposes as `kkt run --shards N`.
-func TestScalingFamilyScenariosShardIdentical(t *testing.T) {
+// byte-identical metrics when rerun with the same seed.
+func TestScalingFamilyScenariosValid(t *testing.T) {
 	reg := Builtin()
 	for _, name := range []string{
 		"mst-build/powerlaw-2k/sync",
@@ -22,30 +21,30 @@ func TestScalingFamilyScenariosShardIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s not registered", name)
 		}
-		m4, _, err := RunTrialContext(nil, spec, 11, 4, nil)
+		m, _, err := RunTrialContext(nil, spec, 11, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !m4.Valid {
+		if !m.Valid {
 			t.Errorf("%s: MSF failed validation", name)
 		}
-		if m4.GraphEdges < spec.N-1 {
-			t.Errorf("%s: graph_edges=%d, want >= n-1", name, m4.GraphEdges)
+		if m.GraphEdges < spec.N-1 {
+			t.Errorf("%s: graph_edges=%d, want >= n-1", name, m.GraphEdges)
 		}
-		if spec.Family == FamilyHypercube && m4.GraphEdges != spec.N*12/2 {
-			t.Errorf("%s: graph_edges=%d, want exactly n·d/2 = %d", name, m4.GraphEdges, spec.N*12/2)
+		if spec.Family == FamilyHypercube && m.GraphEdges != spec.N*12/2 {
+			t.Errorf("%s: graph_edges=%d, want exactly n·d/2 = %d", name, m.GraphEdges, spec.N*12/2)
 		}
 		if testing.Short() {
 			continue
 		}
-		m1, _, err := RunTrialContext(nil, spec, 11, 1, nil)
+		again, _, err := RunTrialContext(nil, spec, 11, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b1, _ := json.Marshal(m1)
-		b4, _ := json.Marshal(m4)
-		if !bytes.Equal(b1, b4) {
-			t.Errorf("%s: sharded metrics diverge:\n 1: %s\n 4: %s", name, b1, b4)
+		b1, _ := json.Marshal(m)
+		b2, _ := json.Marshal(again)
+		if !bytes.Equal(b1, b2) {
+			t.Errorf("%s: rerun metrics diverge:\n 1: %s\n 2: %s", name, b1, b2)
 		}
 	}
 }

@@ -10,20 +10,12 @@ import (
 type TrialMetrics struct {
 	Trial int    `json:"trial"`
 	Seed  uint64 `json:"seed"`
-	// Shards is the *effective* shard count the trial executed on — what
-	// the engine reports after clamping (congest.Network.Lanes), not what
-	// the caller requested, so fallback paths are visible. Deliberately
-	// excluded from serialization: the sharded engine is observably
-	// identical to the single-threaded one, and the byte-identity of
-	// seeded reports across shard counts is a contract the cross-check
-	// tests enforce — a serialized knob would break it trivially.
-	Shards int `json:"-"`
 
 	// Driver/memory footprint of the trial's network — the gate for the
 	// continuation driver model (a build peaks at a handful of driver
 	// goroutines, its phase controllers, however wide its fan-out).
-	// Excluded from serialization like Shards: footprint is an
-	// observation about the process, not the simulated protocol.
+	// Excluded from serialization: footprint is an observation about the
+	// process, not the simulated protocol.
 	PeakDriverGoroutines int `json:"-"`
 	// PeakDriverTasks is the continuation-task high-water mark.
 	PeakDriverTasks int `json:"-"`
@@ -40,8 +32,8 @@ type TrialMetrics struct {
 	// GraphEdges is the edge count m of the *generated* topology the trial
 	// started from — the x-axis of the o(m) scaling sweeps. For repair
 	// scenarios this is the pre-storm graph, not the mutated final
-	// topology. Seed-determined (byte-identical at any shard/worker
-	// count), so it serializes.
+	// topology. Seed-determined (byte-identical at any worker count), so
+	// it serializes.
 	GraphEdges int `json:"graph_edges,omitempty"`
 
 	// Messages/Bits are the congest counters over the measured section

@@ -8,15 +8,32 @@ import (
 	"kkt/internal/obsv"
 )
 
+// smallBuiltinSpecs returns the builtin suite minus the production-scale
+// stress scenarios: the sweep covers every algorithm, family and scheduler
+// in the registry without paying 100k-node runtimes.
+func smallBuiltinSpecs(t *testing.T) []Spec {
+	t.Helper()
+	var specs []Spec
+	for _, s := range Builtin().Specs() {
+		if s.N <= 1000 {
+			specs = append(specs, s)
+		}
+	}
+	if len(specs) < 15 {
+		t.Fatalf("only %d small scenarios — registry shrank?", len(specs))
+	}
+	return specs
+}
+
 // TestObservedReportsByteIdentical is the observer half of the determinism
 // contract: attaching a recorder to every trial must not move a single byte
-// of the seeded report, at any shard count. Observation is read-only by
+// of the seeded report. Observation is read-only by
 // construction (PhaseCosts come from ledger deltas, never from the
 // observer), and this test keeps it that way.
 func TestObservedReportsByteIdentical(t *testing.T) {
 	specs := smallBuiltinSpecs(t)
-	marshal := func(shards int, observe func(Spec, int) congest.Observer) []byte {
-		cfg := RunConfig{Trials: 2, Seed: 5, Shards: shards, Observe: observe}
+	marshal := func(observe func(Spec, int) congest.Observer) []byte {
+		cfg := RunConfig{Trials: 2, Seed: 5, Observe: observe}
 		report := NewReport("obscheck", cfg, RunAll(specs, cfg))
 		blob, err := report.MarshalIndent()
 		if err != nil {
@@ -24,15 +41,12 @@ func TestObservedReportsByteIdentical(t *testing.T) {
 		}
 		return blob
 	}
-	want := marshal(1, nil)
-	for _, shards := range []int{1, 4} {
-		got := marshal(shards, func(spec Spec, trial int) congest.Observer {
-			return obsv.NewRecorder(spec.Name)
-		})
-		if !bytes.Equal(got, want) {
-			t.Errorf("shards=%d observed: report bytes differ from unobserved run (len %d vs %d)",
-				shards, len(got), len(want))
-		}
+	want := marshal(nil)
+	got := marshal(func(spec Spec, trial int) congest.Observer {
+		return obsv.NewRecorder(spec.Name)
+	})
+	if !bytes.Equal(got, want) {
+		t.Errorf("observed report bytes differ from unobserved run (len %d vs %d)", len(got), len(want))
 	}
 }
 
@@ -50,7 +64,7 @@ func TestObserverSeesBuildTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obsv.NewRecorder(spec.Name)
-	m, _, err := RunTrialContext(nil, spec, 7, 1, rec)
+	m, _, err := RunTrialContext(nil, spec, 7, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func stormNetwork(t *testing.T, seed uint64) (*congest.Network, *tree.Protocol, 
 	}
 	s := spec.withDefaults()
 	r := rng.New(seed)
-	g := buildGraph(s, r.Split(), 1)
+	g := buildGraph(s, r.Split())
 	nw := congest.NewNetwork(g, congest.WithSeed(seed))
 	pr := tree.Attach(nw)
 	refForest := spanning.Kruskal(g)

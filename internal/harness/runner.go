@@ -19,14 +19,6 @@ type RunConfig struct {
 	Seed uint64
 	// Workers bounds the worker pool (default GOMAXPROCS).
 	Workers int
-	// Shards is the per-trial shard count handed to the simulator
-	// (default 1 = single-threaded trials). Sharding is a wall-clock knob
-	// only: the sharded engine is observably identical to the
-	// single-threaded one, so reports stay byte-identical at any value.
-	// Intra-trial parallelism composes with the trial-level pool — total
-	// concurrency is roughly Workers × Shards, so large sweeps should
-	// lower Workers when raising Shards.
-	Shards int
 	// Timeout bounds each trial's wall-clock time (0 = unbounded). A timed-
 	// out trial aborts at the next delivery batch with a structured
 	// congest.WatchdogError and counts as Failed; successful trials are
@@ -54,9 +46,6 @@ func (c RunConfig) Normalized() RunConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 	return c
 }
@@ -107,7 +96,7 @@ func RunAll(specs []Spec, cfg RunConfig) []Result {
 				if cfg.Timeout > 0 {
 					ctx, cancel = context.WithTimeout(context.Background(), cfg.Timeout)
 				}
-				m, kinds, err := RunTrialContext(ctx, spec, seed, cfg.Shards, obs)
+				m, kinds, err := RunTrialContext(ctx, spec, seed, obs)
 				cancel()
 				m.Trial = j.ti
 				m.Seed = seed

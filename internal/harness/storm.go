@@ -18,7 +18,7 @@ import (
 // traffic is metered; the amortized per-repair costs divide it by the
 // number of launched repair drivers.
 func runConcurrentStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph.Graph, seed uint64, weighted bool, heapBefore uint64) (TrialMetrics, map[string]congest.KindCount, error) {
-	m := TrialMetrics{Seed: seed, Shards: nw.Lanes(), GraphEdges: g.M()}
+	m := TrialMetrics{Seed: seed, GraphEdges: g.M()}
 
 	var refForest []int
 	if weighted {

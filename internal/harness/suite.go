@@ -181,11 +181,10 @@ func Builtin() *Registry {
 	})
 	// The windowed async engine's headline scenarios: same scale as the
 	// sync 100k builds, but delivered as asynchronous tick groups — the
-	// regime the paper's Theorem 1.2 repair algorithms run in — with
-	// --shards parallelizing the groups byte-identically.
+	// regime the paper's Theorem 1.2 repair algorithms run in.
 	reg.MustRegister(Spec{
 		Name:        "mst-build/gnm-100k/async",
-		Description: "Build MST (adaptive) on connected G(n,3n) at 100k nodes under the asynchronous scheduler (windowed parallel delivery)",
+		Description: "Build MST (adaptive) on connected G(n,3n) at 100k nodes under the asynchronous scheduler (windowed delivery)",
 		Family:      FamilyGNM, N: 100_000,
 		Sched: SchedAsync,
 		Algo:  AlgoMSTBuildAdaptive,
@@ -241,7 +240,7 @@ func Builtin() *Registry {
 	})
 	reg.MustRegister(Spec{
 		Name:        "mst-build/gnm-1m/sync",
-		Description: "Build MST (adaptive) on connected G(n,3n) at 1M nodes: the sharded multi-core engine's headline scenario (run with --shards = cores)",
+		Description: "Build MST (adaptive) on connected G(n,3n) at 1M nodes: the largest build in the suite",
 		Family:      FamilyGNM, N: 1_000_000,
 		Sched: SchedSync,
 		Algo:  AlgoMSTBuildAdaptive,

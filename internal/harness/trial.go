@@ -39,14 +39,11 @@ func trialSeed(base uint64, name string, trial int) uint64 {
 }
 
 // buildGraph constructs the scenario topology from the trial's stream.
-// workers parallelizes generation where a generator supports it (GNM's
-// chord checks); generated graphs are byte-identical at any worker count,
-// so the trial's shard count doubles as the generation fan-out.
-func buildGraph(s Spec, r *rng.RNG, workers int) *graph.Graph {
+func buildGraph(s Spec, r *rng.RNG) *graph.Graph {
 	w := graph.UniformWeights(r.Split(), s.MaxRaw)
 	switch s.Family {
 	case FamilyGNM:
-		return graph.GNMWorkers(r, s.N, s.M, s.MaxRaw, w, workers)
+		return graph.GNM(r, s.N, s.M, s.MaxRaw, w)
 	case FamilyRing:
 		return graph.Ring(s.N, s.MaxRaw, w)
 	case FamilyGrid:
@@ -59,12 +56,9 @@ func buildGraph(s Spec, r *rng.RNG, workers int) *graph.Graph {
 	case FamilyTree:
 		return graph.RandomTree(r, s.N, s.MaxRaw, w)
 	case FamilyPowerLaw:
-		// Sequential by construction (each attachment depends on the
-		// degrees the previous ones produced), so worker-count identity is
-		// trivial.
 		return graph.PreferentialAttachment(r, s.N, s.Degree, s.MaxRaw, w)
 	case FamilyGeometric:
-		return graph.RandomGeometricWorkers(r, s.N, s.Radius, s.MaxRaw, w, workers)
+		return graph.RandomGeometric(r, s.N, s.Radius, s.MaxRaw, w)
 	case FamilyHypercube:
 		// Deterministic shape; only the weight stream is seeded.
 		return graph.HypercubeN(s.N, s.MaxRaw, w)
@@ -73,17 +67,15 @@ func buildGraph(s Spec, r *rng.RNG, workers int) *graph.Graph {
 	}
 }
 
-// RunTrial executes one single-threaded, unobserved seeded trial of the
-// scenario; see RunTrialContext.
+// RunTrial executes one unobserved seeded trial of the scenario; see
+// RunTrialContext.
 func RunTrial(spec Spec, seed uint64) (TrialMetrics, map[string]congest.KindCount, error) {
-	return RunTrialContext(nil, spec, seed, 1, nil)
+	return RunTrialContext(nil, spec, seed, nil)
 }
 
-// RunTrialContext executes one seeded trial of the scenario on the given
-// shard count and returns its metrics plus the per-kind traffic
-// breakdown. The shard count is an execution knob only — the engine's
-// determinism contract guarantees identical metrics at any value — so the
-// seed alone identifies the trial. obs, when non-nil, is a passive trace
+// RunTrialContext executes one seeded trial of the scenario and returns
+// its metrics plus the per-kind traffic breakdown; the seed alone
+// identifies the trial. obs, when non-nil, is a passive trace
 // observer attached to the trial's network: metrics are byte-identical
 // with it on or off (see congest.Observer). ctx, when non-nil, is plumbed
 // into the trial's engine: once it is done, the trial aborts at the next
@@ -93,27 +85,21 @@ func RunTrial(spec Spec, seed uint64) (TrialMetrics, map[string]congest.KindCoun
 // seeded reports. Specs must already be validated (registry scenarios
 // are). Protocol panics are converted to errors so one bad trial cannot
 // take down a bench sweep.
-func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, obs congest.Observer) (m TrialMetrics, byKind map[string]congest.KindCount, err error) {
+func RunTrialContext(ctx context.Context, spec Spec, seed uint64, obs congest.Observer) (m TrialMetrics, byKind map[string]congest.KindCount, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("harness: trial panicked: %v", r)
 		}
 	}()
-	if shards < 1 {
-		shards = 1
-	}
 	s := spec.withDefaults()
 	heapBefore := heapSysNow()
 	r := rng.New(seed)
-	g := buildGraph(s, r.Split(), shards)
+	g := buildGraph(s, r.Split())
 
 	var opts []congest.Option
 	opts = append(opts, congest.WithSeed(seed))
 	if s.Sched == SchedAsync {
 		opts = append(opts, congest.WithAsync(s.MaxDelay))
-	}
-	if shards > 1 {
-		opts = append(opts, congest.WithShards(shards))
 	}
 	if obs != nil {
 		opts = append(opts, congest.WithObserver(obs))
@@ -131,10 +117,7 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, ob
 	nw := congest.NewNetwork(g, opts...)
 	pr := tree.Attach(nw)
 
-	// Record the shard count the engine actually runs on (the partition
-	// clamps to the node count), never the requested one: a fallback must
-	// be visible to callers, not silently reported away.
-	m = TrialMetrics{Seed: seed, Shards: nw.Lanes(), GraphEdges: g.M()}
+	m = TrialMetrics{Seed: seed, GraphEdges: g.M()}
 	switch s.Algo {
 	case AlgoMSTBuildAdaptive, AlgoMSTBuildFixed:
 		cfg := mst.DefaultBuild(seed)
@@ -259,7 +242,7 @@ func captureFootprint(m *TrialMetrics, nw *congest.Network, heapBefore uint64) {
 // precondition), then applies the fault script in seeded random order and
 // meters only the repair traffic.
 func runRepairStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph.Graph, r *rng.RNG, seed uint64, weighted bool, heapBefore uint64) (TrialMetrics, map[string]congest.KindCount, error) {
-	m := TrialMetrics{Seed: seed, Shards: nw.Lanes(), GraphEdges: g.M(), Actions: make(map[string]int)}
+	m := TrialMetrics{Seed: seed, GraphEdges: g.M(), Actions: make(map[string]int)}
 
 	var refForest []int
 	if weighted {

@@ -21,9 +21,9 @@ import "kkt/internal/congest"
 //   - Phase aggregates are upserted by index: the recorder only appends
 //     phases and mutates each one exactly once (its PhaseEnd), so an
 //     upsert list stays short.
-//   - Kind totals, shard load and named counters are replaced whole when
-//     changed; they are bounded by the kind table / shard count / distinct
-//     counter names, not by run length.
+//   - Kind totals and named counters are replaced whole when changed; they
+//     are bounded by the kind table / distinct counter names, not by run
+//     length.
 
 // DeltaTotals is the scalar cost header of a delta.
 type DeltaTotals struct {
@@ -44,7 +44,6 @@ type PhaseUpdate struct {
 type Delta struct {
 	Totals        *DeltaTotals      `json:"totals,omitempty"`
 	ByKind        []KindTotal       `json:"by_kind,omitempty"`
-	ShardLoad     []uint64          `json:"shard_load,omitempty"`
 	SampleStride  *uint64           `json:"sample_stride,omitempty"`
 	Samples       []RoundSample     `json:"samples,omitempty"`
 	SamplesRebase bool              `json:"samples_rebase,omitempty"`
@@ -59,7 +58,7 @@ type Delta struct {
 
 // Empty reports whether the delta carries no changes.
 func (d Delta) Empty() bool {
-	return d.Totals == nil && d.ByKind == nil && d.ShardLoad == nil &&
+	return d.Totals == nil && d.ByKind == nil &&
 		d.SampleStride == nil && d.Samples == nil && !d.SamplesRebase &&
 		d.Phases == nil && d.PhasesDropped == nil && d.Sessions == nil &&
 		d.Repairs == nil && d.Counts == nil && d.Events == nil &&
@@ -75,9 +74,6 @@ func Diff(prev, cur Snapshot) Delta {
 	}
 	if !kindTotalsEqual(prev.ByKind, cur.ByKind) {
 		d.ByKind = append([]KindTotal(nil), cur.ByKind...)
-	}
-	if !uint64sEqual(prev.ShardLoad, cur.ShardLoad) {
-		d.ShardLoad = append([]uint64(nil), cur.ShardLoad...)
 	}
 	if prev.SampleStride != cur.SampleStride {
 		s := cur.SampleStride
@@ -131,7 +127,6 @@ func Apply(base Snapshot, d Delta) Snapshot {
 	s := base
 	// Deep-copy the slices/maps the shallow copy aliases.
 	s.ByKind = append([]KindTotal(nil), base.ByKind...)
-	s.ShardLoad = append([]uint64(nil), base.ShardLoad...)
 	s.RoundSamples = append([]RoundSample(nil), base.RoundSamples...)
 	s.Phases = make([]PhaseAgg, len(base.Phases))
 	for i := range base.Phases {
@@ -146,9 +141,6 @@ func Apply(base Snapshot, d Delta) Snapshot {
 	}
 	if d.ByKind != nil {
 		s.ByKind = append([]KindTotal(nil), d.ByKind...)
-	}
-	if d.ShardLoad != nil {
-		s.ShardLoad = append([]uint64(nil), d.ShardLoad...)
 	}
 	if d.SampleStride != nil {
 		s.SampleStride = *d.SampleStride
@@ -228,18 +220,6 @@ func copyPhaseAgg(pa PhaseAgg) PhaseAgg {
 }
 
 func kindTotalsEqual(a, b []KindTotal) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func uint64sEqual(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -20,11 +20,7 @@ func driveStep(r *Recorder, i int, byKind []congest.KindCount) {
 	byKind[0].Bits += uint64(i % 97)
 	byKind[1].Messages += uint64(i % 3)
 	byKind[1].Bits += uint64(i % 11)
-	var load []uint64
-	if i%2 == 0 {
-		load = []uint64{uint64(i), uint64(2 * i)}
-	}
-	r.RoundEnd(int64(i+1), uint64(13*i), uint64(190*i), byKind, load)
+	r.RoundEnd(int64(i+1), uint64(13*i), uint64(190*i), byKind, nil)
 	switch i % 5 {
 	case 0:
 		r.PhaseStart("mst", i/5, 40-i/5, int64(i+1))

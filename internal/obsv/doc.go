@@ -8,12 +8,11 @@
 // Passive. A Recorder only ever copies data out of the callbacks it
 // receives; nothing it stores feeds back into engine or protocol
 // decisions. Seeded runs are byte-identical with a recorder attached or
-// not, at any shard count — this is the engine's observer contract
+// not — this is the engine's observer contract
 // (congest.Observer) and the recorder's side of the bargain.
 //
 // Engine-ordered. All congest.Observer callbacks arrive on the engine
-// goroutine at engine barriers, already in the deterministic
-// single-threaded order. The recorder's mutex exists only so Snapshot can
+// goroutine at engine barriers, already in deterministic order. The recorder's mutex exists only so Snapshot can
 // be called from other goroutines (the --obs-listen HTTP server); it never
 // orders engine events.
 //

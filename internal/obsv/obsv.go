@@ -89,7 +89,6 @@ type Snapshot struct {
 	Messages      uint64            `json:"messages"`
 	Bits          uint64            `json:"bits"`
 	ByKind        []KindTotal       `json:"by_kind,omitempty"`
-	ShardLoad     []uint64          `json:"shard_load,omitempty"`
 	SampleStride  uint64            `json:"sample_stride"`
 	RoundSamples  []RoundSample     `json:"round_samples,omitempty"`
 	Phases        []PhaseAgg        `json:"phases,omitempty"`
@@ -110,7 +109,6 @@ type Recorder struct {
 	messages uint64
 	bits     uint64
 	byKind   []congest.KindCount
-	load     []uint64
 
 	roundCalls uint64
 	stride     uint64
@@ -145,9 +143,6 @@ func (r *Recorder) RoundEnd(now int64, messages, bits uint64, byKind []congest.K
 	defer r.mu.Unlock()
 	r.now, r.messages, r.bits = now, messages, bits
 	r.byKind = append(r.byKind[:0], byKind...)
-	if shardLoad != nil {
-		r.load = append(r.load[:0], shardLoad...)
-	}
 	if r.roundCalls%r.stride == 0 {
 		if len(r.samples) >= maxRoundSamples {
 			// Thin to every other sample and double the stride: coverage of
@@ -301,7 +296,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 	}
 	sort.Slice(s.ByKind, func(i, j int) bool { return s.ByKind[i].Kind < s.ByKind[j].Kind })
-	s.ShardLoad = append([]uint64(nil), r.load...)
 	s.RoundSamples = append([]RoundSample(nil), r.samples...)
 	s.Phases = make([]PhaseAgg, len(r.phases))
 	for i, pa := range r.phases {

@@ -129,16 +129,16 @@ func TestPhaseAggAndRepairStats(t *testing.T) {
 // the snapshot is unaffected.
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	r := NewRecorder("copy")
-	r.RoundEnd(5, 10, 80, []congest.KindCount{}, []uint64{3, 4})
+	r.RoundEnd(5, 10, 80, []congest.KindCount{{Messages: 10, Bits: 80}}, nil)
 	r.Count("x", 1)
 	s := r.Snapshot()
-	r.RoundEnd(6, 20, 160, []congest.KindCount{}, []uint64{9, 9})
+	r.RoundEnd(6, 20, 160, []congest.KindCount{{Messages: 20, Bits: 160}}, nil)
 	r.Count("x", 10)
 	if s.Now != 5 || s.Messages != 10 {
 		t.Errorf("snapshot mutated: now=%d msgs=%d", s.Now, s.Messages)
 	}
-	if s.ShardLoad[0] != 3 || s.ShardLoad[1] != 4 {
-		t.Errorf("shard load mutated: %v", s.ShardLoad)
+	if len(s.ByKind) != 1 || s.ByKind[0].Messages != 10 {
+		t.Errorf("kind totals mutated: %v", s.ByKind)
 	}
 	if s.Counts["x"] != 1 {
 		t.Errorf("counts mutated: %v", s.Counts)

@@ -13,8 +13,7 @@ const ReportSchema = "kkt/scaling/v1"
 
 // Report is the top-level sweep artifact (the SCALING_*.json payload). It
 // contains only seed-determined data: identical configs marshal to
-// byte-identical reports regardless of worker count, shard count or wall
-// time.
+// byte-identical reports regardless of worker count or wall time.
 type Report struct {
 	Schema  string `json:"schema"`
 	Seed    uint64 `json:"seed"`

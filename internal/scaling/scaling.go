@@ -68,8 +68,7 @@ type Config struct {
 	// Density picks the gnm m-growth law (default quad; other families
 	// have intrinsic density).
 	Density string
-	// Shards/Workers/Timeout pass through to harness.RunConfig.
-	Shards  int
+	// Workers/Timeout pass through to harness.RunConfig.
 	Workers int
 	Timeout time.Duration
 	// OnTrialDone, if set, is called after every finished trial (from
@@ -154,7 +153,7 @@ func (c Config) TotalTrials() int {
 // m on log-log axes. For every family holding both a KKT algorithm and a
 // baseline, the per-seed slopes feed a one-sided Welch test of the
 // separation claim. The report is seed-determined: identical configs
-// marshal to byte-identical reports at any worker or shard count.
+// marshal to byte-identical reports at any worker count.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -188,7 +187,6 @@ func Run(cfg Config) (*Report, error) {
 		Trials:      cfg.Seeds,
 		Seed:        cfg.Seed,
 		Workers:     cfg.Workers,
-		Shards:      cfg.Shards,
 		Timeout:     cfg.Timeout,
 		OnTrialDone: cfg.OnTrialDone,
 	})

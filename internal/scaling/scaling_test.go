@@ -75,7 +75,7 @@ func TestScalingSeparation(t *testing.T) {
 }
 
 // TestRunDeterministic pins the byte-identity contract: the same config
-// produces the same marshaled report at any worker and shard count.
+// produces the same marshaled report at any worker count.
 func TestRunDeterministic(t *testing.T) {
 	cfg := Config{
 		Families: []string{harness.FamilyGNM, harness.FamilyHypercube},
@@ -89,7 +89,6 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Workers = 1
-	cfg.Shards = 2
 	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestRunDeterministic(t *testing.T) {
 	ab, _ := a.MarshalIndent()
 	bb, _ := b.MarshalIndent()
 	if !bytes.Equal(ab, bb) {
-		t.Fatalf("reports diverge across worker/shard counts:\n%s\n---\n%s", ab, bb)
+		t.Fatalf("reports diverge across worker counts:\n%s\n---\n%s", ab, bb)
 	}
 	// Flood visits every edge twice: the fitted slope is exactly 1 and
 	// every seed agrees, so the interval collapses to a point.

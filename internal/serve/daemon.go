@@ -17,8 +17,8 @@ import (
 
 // Config is the daemon's full configuration. Every field that determines
 // the event sequence is folded into the checkpoint fingerprint; the rest
-// (shards, callbacks, checkpoint cadence) are execution knobs the
-// determinism contracts make invisible to the run's outcome.
+// (callbacks, checkpoint cadence) are execution knobs the determinism
+// contracts make invisible to the run's outcome.
 type Config struct {
 	Spec GraphSpec
 	Algo string // "mst" (weighted, default) | "st" (unweighted)
@@ -27,8 +27,6 @@ type Config struct {
 	// Wave caps concurrent repair drivers per admission wave (admit's
 	// default applies at 0).
 	Wave int
-	// Shards is the engine lane count (execution knob only).
-	Shards int
 
 	// EpochEvents bounds how many events one epoch ingests (default 64).
 	// Smaller epochs mean finer-grained checkpoints and fresher WS deltas;
@@ -102,9 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 1
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
 	if c.Trace != nil && c.Events == 0 {
 		c.Events = len(c.Trace)
 	}
@@ -163,7 +158,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	g := cfg.Spec.Build(cfg.Shards)
+	g := cfg.Spec.Build()
 	if cfg.Trace != nil && cfg.TraceDigest != "" {
 		if got := GraphDigest(g); got != cfg.TraceDigest {
 			return nil, fmt.Errorf("serve: trace was recorded against a different initial graph: built %s, trace %s", got, cfg.TraceDigest)
@@ -240,9 +235,6 @@ func (d *Daemon) Run(ctx context.Context) (Summary, error) {
 		}
 
 		opts := []congest.Option{congest.WithSeed(epochSeed)}
-		if cfg.Shards > 1 {
-			opts = append(opts, congest.WithShards(cfg.Shards))
-		}
 		if d.shift.inner != nil {
 			opts = append(opts, congest.WithObserver(d.shift))
 		}

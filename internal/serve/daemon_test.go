@@ -199,7 +199,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 // and re-import byte-identically, header included.
 func TestTraceRoundTrip(t *testing.T) {
 	spec := GraphSpec{Family: "gnm", N: 32, M: 96, Seed: 5}.WithDefaults()
-	g := spec.Build(1)
+	g := spec.Build()
 	plan := faultplan.Plan{Partitions: 1, PartitionSize: 4, Heals: 2, Deletes: 3, Inserts: 3, WeightChanges: 3}
 	events := faultplan.Compile(plan, g, nil, 99)
 	if len(events) == 0 {
@@ -221,8 +221,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotEvents, events) {
 		t.Errorf("events changed in round trip (%d vs %d)", len(gotEvents), len(events))
 	}
-	if got := GraphDigest(spec.Build(4)); got != hdr.Digest {
-		t.Errorf("spec rebuild digest %s != header digest %s (generation not worker-independent?)", got, hdr.Digest)
+	if got := GraphDigest(spec.Build()); got != hdr.Digest {
+		t.Errorf("spec rebuild digest %s != header digest %s (generation not deterministic?)", got, hdr.Digest)
 	}
 }
 
@@ -231,14 +231,14 @@ func TestTraceRoundTrip(t *testing.T) {
 // continuous (strictly monotone) timeline across epoch rebuilds.
 func TestTraceReplayDeterminism(t *testing.T) {
 	spec := GraphSpec{Family: "gnm", N: 32, M: 96, Seed: 5}.WithDefaults()
-	g := spec.Build(1)
+	g := spec.Build()
 	plan := faultplan.Plan{TreeEdgeDeletes: 4, Deletes: 4, Inserts: 4, WeightChanges: 4}
 	events := faultplan.Compile(plan, g, nil, 99)
 
-	run := func(shards int) (Summary, obsv.Snapshot) {
+	run := func() (Summary, obsv.Snapshot) {
 		rec := obsv.NewRecorder("trace-replay")
 		d, err := New(Config{
-			Spec: spec, Algo: "mst", Seed: 7, Wave: 4, Shards: shards,
+			Spec: spec, Algo: "mst", Seed: 7, Wave: 4,
 			Trace: events, TraceDigest: GraphDigest(g),
 			EpochEvents: 5, Observer: rec,
 		})
@@ -251,13 +251,13 @@ func TestTraceReplayDeterminism(t *testing.T) {
 		}
 		return sum, rec.Snapshot()
 	}
-	sum1, snap1 := run(1)
-	sum2, _ := run(2)
+	sum1, snap1 := run()
+	sum2, _ := run()
 	if sum1.Digest != sum2.Digest {
-		t.Errorf("trace replay digest differs across shard counts:\n shards=1 %s\n shards=2 %s", sum1.Digest, sum2.Digest)
+		t.Errorf("trace replay digest differs across runs:\n first  %s\n second %s", sum1.Digest, sum2.Digest)
 	}
 	if !reflect.DeepEqual(sum1.Stats, sum2.Stats) {
-		t.Errorf("trace replay stats differ across shard counts")
+		t.Errorf("trace replay stats differ across runs")
 	}
 	var prev int64 = -1
 	for _, rs := range snap1.RoundSamples {

@@ -62,19 +62,14 @@ func (s GraphSpec) Validate() error {
 	return nil
 }
 
-// Build generates the topology. workers parallelizes generation where the
-// family supports it; generated graphs are byte-identical at any worker
-// count.
-func (s GraphSpec) Build(workers int) *graph.Graph {
+// Build generates the topology.
+func (s GraphSpec) Build() *graph.Graph {
 	s = s.WithDefaults()
-	if workers < 1 {
-		workers = 1
-	}
 	r := rng.New(s.Seed)
 	w := graph.UniformWeights(r.Split(), s.MaxRaw)
 	switch s.Family {
 	case "gnm":
-		return graph.GNMWorkers(r, s.N, s.M, s.MaxRaw, w, workers)
+		return graph.GNM(r, s.N, s.M, s.MaxRaw, w)
 	case "ring":
 		return graph.Ring(s.N, s.MaxRaw, w)
 	case "grid":

@@ -76,16 +76,12 @@ type beState struct {
 	acc      uint64         // unboxed lane accumulator
 }
 
-// getBE pops a recycled beState (or allocates) and initialises it. The
-// lane index keys the per-shard free list: handlers pass the lane of the
-// network view they were handed, so workers only ever touch their own
-// list.
-func (pr *Protocol) getBE(lane int, parent congest.NodeID) *beState {
-	free := pr.beFree[lane]
-	if n := len(free); n > 0 {
-		st := free[n-1]
-		free[n-1] = nil
-		pr.beFree[lane] = free[:n-1]
+// getBE pops a recycled beState (or allocates) and initialises it.
+func (pr *Protocol) getBE(parent congest.NodeID) *beState {
+	if n := len(pr.beFree); n > 0 {
+		st := pr.beFree[n-1]
+		pr.beFree[n-1] = nil
+		pr.beFree = pr.beFree[:n-1]
 		st.parent = parent
 		return st
 	}
@@ -94,13 +90,13 @@ func (pr *Protocol) getBE(lane int, parent congest.NodeID) *beState {
 
 // putBE recycles a finished beState, dropping value references for GC but
 // keeping slice capacity.
-func (pr *Protocol) putBE(lane int, st *beState) {
+func (pr *Protocol) putBE(st *beState) {
 	for i := range st.children {
 		st.children[i] = ChildEcho{}
 	}
 	st.children = st.children[:0]
 	*st = beState{children: st.children}
-	pr.beFree[lane] = append(pr.beFree[lane], st)
+	pr.beFree = append(pr.beFree, st)
 }
 
 // setSpec binds a session to its spec in the slot-indexed table (no map
@@ -150,7 +146,7 @@ func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.
 	sid := pr.nw.NewSession(nil)
 	pr.setSpec(sid, spec)
 	node := pr.nw.Node(root)
-	st := pr.getBE(pr.nw.LaneID(), 0)
+	st := pr.getBE(0)
 	pr.runDownAt(pr.nw, node, sid, spec, st)
 	return sid
 }
@@ -170,8 +166,6 @@ func (pr *Protocol) BroadcastEchoU(p *congest.Proc, root congest.NodeID, spec *S
 
 // runDownAt performs the on-broadcast work at a node: side effects, local
 // compute, forwarding, and the immediate echo when the node is a leaf.
-// All engine calls go through nw — the network view the caller was handed
-// — so a shard worker's sends and completions land in its own lane.
 func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
 	if spec.OnDown != nil {
 		spec.OnDown(node, spec.Down, func(to congest.NodeID, kind congest.KindID, bits int, payload any) {
@@ -201,11 +195,10 @@ func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid 
 // the root) or echoes to the parent.
 func (pr *Protocol) echoUp(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
 	parent := st.parent
-	lane := nw.LaneID()
 	if spec.unboxed() {
 		val := st.acc
 		node.SetSessionState(sid, nil)
-		pr.putBE(lane, st)
+		pr.putBE(st)
 		if parent == 0 {
 			pr.clearSpec(sid)
 			nw.CompleteSessionU(sid, val, nil)
@@ -216,7 +209,7 @@ func (pr *Protocol) echoUp(nw *congest.Network, node *congest.NodeState, sid con
 	}
 	val := spec.Combine(node, spec.Down, st.local, st.children)
 	node.SetSessionState(sid, nil)
-	pr.putBE(lane, st)
+	pr.putBE(st)
 	if parent == 0 {
 		pr.clearSpec(sid)
 		nw.CompleteSession(sid, val, nil)
@@ -233,7 +226,7 @@ func (pr *Protocol) onDown(nw *congest.Network, node *congest.NodeState, msg *co
 	if node.SessionState(msg.Session) != nil {
 		panic(fmt.Sprintf("tree: node %d got a second broadcast in session %d — marked subgraph is not a tree", node.ID, msg.Session))
 	}
-	st := pr.getBE(nw.LaneID(), msg.From)
+	st := pr.getBE(msg.From)
 	pr.runDownAt(nw, node, msg.Session, spec, st)
 }
 

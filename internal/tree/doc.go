@@ -20,24 +20,20 @@
 //
 // Zero-alloc steady state. A warm Protocol performs whole
 // broadcast-and-echoes and election waves without allocating: per-node
-// automaton states (beState) recycle through lane-indexed free lists,
+// automaton states (beState) recycle through one free list,
 // session→spec bindings live in a slot-indexed table keyed by the
 // engine's recycled session slots (validated by the full packed ID, so a
 // recycled slot never aliases), election receipts are bitmasks over each
 // node's sorted edge slice in a reusable buffer, and single-word echoes
 // travel unboxed (Spec.LocalU/CombineU over Message.U).
 //
-// Shard safety. Handlers route every engine call through the *Network
-// view they are handed, so sends and completions land in the correct
-// shard lane; per-lane beState free lists mean workers never contend.
-// Drivers write spec-table entries between rounds; a handler only reads
-// them, and only the root node's handler (one node, hence one shard)
-// clears a session's entry — the table needs no locks.
+// Spec table ownership. Drivers write spec-table entries between rounds;
+// a handler only reads them, and only the root node's handler clears a
+// session's entry.
 //
 // Derived randomness. Node-local random choices (NodeRand) are seeded by
 // the session's creation serial, never the packed ID or any engine
-// state, so draws are identical across slot-recycling orders and shard
-// counts.
+// state, so draws are identical across slot-recycling orders.
 //
 // Tree discipline. A broadcast-and-echo must run on a marked subgraph
 // that is a tree: a second broadcast arriving at a node in the same

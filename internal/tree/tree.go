@@ -23,13 +23,11 @@ type Protocol struct {
 	// specs binds live broadcast-and-echo sessions to their Spec, indexed
 	// by the engine's recycled session slot and validated by the full
 	// session ID — no map on the per-message path. Drivers write entries
-	// between rounds; handlers only read (and clear, at the root — a
-	// session's root is one node, so one shard) their own slots, which
-	// keeps the table shard-safe without locks.
+	// between rounds; handlers only read them, and the root's handler
+	// clears its session's slot on completion.
 	specs []specSlot
-	// beFree recycles per-node broadcast-and-echo automaton states, one
-	// free list per execution lane so shard workers never contend.
-	beFree [][]*beState
+	// beFree recycles per-node broadcast-and-echo automaton states.
+	beFree []*beState
 	// electBuf is the reusable per-node election state array; electSid is
 	// the session currently borrowing it (0 = free). A second concurrent
 	// wave — which never happens in the paper's algorithms — falls back to
@@ -49,9 +47,8 @@ type specSlot struct {
 // instance. Call exactly once per network.
 func Attach(nw *congest.Network) *Protocol {
 	pr := &Protocol{
-		nw:     nw,
-		beFree: make([][]*beState, nw.Lanes()),
-		r:      nw.Rand(),
+		nw: nw,
+		r:  nw.Rand(),
 	}
 	nw.RegisterHandler(KindDown, pr.onDown)
 	nw.RegisterHandler(KindUp, pr.onUp)
