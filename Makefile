@@ -90,8 +90,9 @@ storm-demo:
 # Serving-mode demo: a live topology-maintenance daemon over a 100k-node
 # graph under sustained churn. While it runs, :8080
 # serves the usual /timeline, /metrics and pprof endpoints plus the
-# WebSocket push stream at /ws — subscribe with
-# `go run ./cmd/kkt ws localhost:8080`. Durable state checkpoints to
+# server-sent-events push stream at /ws — read it with
+# `go run ./cmd/kkt ws localhost:8080` (one JSON line per message) or
+# `curl -N localhost:8080/ws`. Durable state checkpoints to
 # /tmp/kkt-serve.ckpt every 4 epochs; kill the daemon at any point and
 # re-run with `--resume` appended to pick up where it left off.
 serve-demo:

@@ -3,10 +3,11 @@ package main
 // kkt serve / kkt trace / kkt ws: the live topology-maintenance daemon and
 // its companions. serve ingests an update stream (seeded churn generator or
 // a replayable trace file) through the admission queue against a live
-// engine, optionally pushing incremental observability deltas over a
-// WebSocket at /ws on the --obs-listen mux and checkpointing durable state
-// every epoch. trace compiles a fault plan into the replayable trace
-// format; ws is a minimal stream subscriber for scripts and smoke gates.
+// engine, optionally pushing incremental observability deltas as a
+// server-sent-events stream at /ws on the --obs-listen mux and
+// checkpointing durable state every epoch. trace compiles a fault plan
+// into the replayable trace format; ws is a line reader that prints the
+// stream's messages for scripts and smoke gates.
 import (
 	"context"
 	"errors"
@@ -335,12 +336,12 @@ func cmdTrace(args []string, stdout, stderr io.Writer) error {
 func cmdWS(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("kkt ws", stderr)
 	maxMsgs := fs.Int("max", 0, "disconnect after this many messages (0 = until the stream closes)")
-	timeout := fs.Duration("timeout", 30*time.Second, "dial + per-message read deadline (0 = none)")
+	timeout := fs.Duration("timeout", 30*time.Second, "connect + per-message read deadline (0 = none)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() < 1 {
-		err := errors.New("ws takes the daemon's URL (ws://host:port/ws, or just host:port)")
+		err := errors.New("ws takes the daemon's URL (http://host:port/ws, or just host:port)")
 		fmt.Fprintln(stderr, "kkt:", err)
 		return usageError{err}
 	}
@@ -350,30 +351,61 @@ func cmdWS(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if !strings.Contains(raw, "://") {
-		raw = "ws://" + raw
+		raw = "http://" + raw
 	}
 	u, err := url.Parse(raw)
+	if err == nil && u.Scheme != "http" {
+		err = fmt.Errorf("ws: unsupported scheme %q (want http:// or host:port)", u.Scheme)
+	}
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "kkt:", err)
+		return usageError{err}
 	}
 	if u.Path == "" || u.Path == "/" {
 		u.Path = "/ws"
 	}
-	c, err := serve.DialWS(u.String(), *timeout)
+
+	// --timeout cancels the request when connecting or waiting for the
+	// next message takes longer; each message re-arms it.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var deadline *time.Timer
+	if *timeout > 0 {
+		deadline = time.AfterFunc(*timeout, cancel)
+		defer deadline.Stop()
+	}
+	timedOut := func(err error) error {
+		if ctx.Err() != nil {
+			return fmt.Errorf("ws: %s: nothing received within %v", u, *timeout)
+		}
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return timedOut(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("ws: GET %s: %s", u, resp.Status)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
+		return fmt.Errorf("ws: GET %s: Content-Type %q is not an event stream", u, ct)
+	}
+	sr := serve.NewStreamReader(resp.Body)
 	for i := 0; *maxMsgs == 0 || i < *maxMsgs; i++ {
-		if *timeout > 0 {
-			c.SetReadDeadline(time.Now().Add(*timeout))
+		msg, err := sr.Next()
+		if errors.Is(err, io.EOF) {
+			return nil
 		}
-		msg, err := c.ReadMessage()
 		if err != nil {
-			if errors.Is(err, serve.ErrClosed) || errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
+			return timedOut(err)
+		}
+		if deadline != nil {
+			deadline.Reset(*timeout)
 		}
 		fmt.Fprintf(stdout, "%s\n", msg)
 	}

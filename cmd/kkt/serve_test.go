@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,7 +123,7 @@ func TestTraceExportReplayCLI(t *testing.T) {
 }
 
 // TestServeObsEndpoints boots the daemon with --obs-listen :0 and
-// --obs-addr-file, subscribes over the WebSocket while it runs, and
+// --obs-addr-file, subscribes to the event stream while it runs, and
 // checks (a) the bound address is published for scripts, (b) the push
 // stream delivers a full snapshot then deltas that reconstruct live
 // repair progress, (c) /metrics carries the serve recorder plus the
@@ -157,16 +161,7 @@ func TestServeObsEndpoints(t *testing.T) {
 		t.Fatalf("obs-addr-file never appeared; daemon exited %d:\n%s", r.code, r.errOut)
 	}
 
-	c, err := serve.DialWS("ws://"+addr+"/ws", 5*time.Second)
-	if err != nil {
-		select {
-		case r := <-done:
-			t.Fatalf("dial %s: %v; daemon already exited %d:\nstdout:\n%s\nstderr:\n%s", addr, err, r.code, r.out, r.errOut)
-		case <-time.After(2 * time.Second):
-			t.Fatalf("dial %s: %v (daemon still running)", addr, err)
-		}
-	}
-	defer c.Close()
+	c := subscribe(t, "http://"+addr+"/ws")
 
 	// Scrape /metrics while the daemon is live (it may finish its 4096
 	// events before the stream assertions below complete).
@@ -186,9 +181,8 @@ func TestServeObsEndpoints(t *testing.T) {
 
 	var state obsv.Snapshot
 	sawFull, sawDelta, sawRepair := false, false, false
-	c.SetReadDeadline(time.Now().Add(20 * time.Second))
 	for i := 0; i < 500 && !(sawFull && sawDelta && sawRepair); i++ {
-		raw, err := c.ReadMessage()
+		raw, err := c.Next()
 		if err != nil {
 			break // daemon finished and closed
 		}
@@ -271,6 +265,84 @@ func TestWSCommandAgainstDaemon(t *testing.T) {
 	if <-done != 0 {
 		t.Error("interrupted daemon exited nonzero")
 	}
+}
+
+// TestWSCommandEndsOnServerClose: when the server closes the stream,
+// `kkt ws` has printed what arrived and exits 0.
+func TestWSCommandEndsOnServerClose(t *testing.T) {
+	hub := serve.NewHub()
+	pub := serve.NewPublisher(hub, obsv.NewRecorder("ws-close"))
+	srv := httptest.NewServer(hub)
+	t.Cleanup(srv.Close)
+
+	// stdout is a pipe so the test knows when the message was printed.
+	pr, pw := io.Pipe()
+	var errOut bytes.Buffer
+	done := make(chan int, 1)
+	go func() {
+		code := run([]string{"ws", srv.URL, "--timeout", "20s"}, pw, &errOut)
+		pw.Close()
+		done <- code
+	}()
+	for i := 0; i < 500 && hub.Subscribers() == 0; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if hub.Subscribers() != 1 {
+		t.Fatal("kkt ws never subscribed")
+	}
+	pub.Publish(serve.ServeStats{EventsTotal: 1})
+	out := bufio.NewReader(pr)
+	line, err := out.ReadString('\n')
+	if err != nil {
+		t.Fatalf("ws printed nothing: %v", err)
+	}
+	var msg serve.PushMsg
+	if err := json.Unmarshal([]byte(line), &msg); err != nil || msg.Full == nil {
+		t.Errorf("ws did not print the full snapshot (%v):\n%s", err, line)
+	}
+
+	srv.CloseClientConnections()
+	rest, _ := io.ReadAll(out)
+	if code := <-done; code != 0 {
+		t.Fatalf("ws exited %d after server close:\n%s", code, errOut.String())
+	}
+	if len(rest) != 0 {
+		t.Errorf("ws printed more than was published:\n%s", rest)
+	}
+}
+
+// TestWSRejectsScheme: only http:// and bare host:port address the
+// stream; anything else is a usage error.
+func TestWSRejectsScheme(t *testing.T) {
+	for _, u := range []string{"ws://127.0.0.1:1/ws", "https://127.0.0.1:1/ws", "ftp://x"} {
+		if code, _, errOut := exec(t, "ws", u); code != 2 {
+			t.Errorf("ws %s exited %d, want 2:\n%s", u, code, errOut)
+		}
+	}
+}
+
+// subscribe opens the daemon's event stream at url; the stream closes
+// when the test ends.
+func subscribe(t *testing.T, url string) *serve.StreamReader {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		cancel()
+		t.Fatalf("subscribe %s: %v", url, err)
+	}
+	t.Cleanup(func() {
+		resp.Body.Close()
+		cancel()
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe %s: %s", url, resp.Status)
+	}
+	return serve.NewStreamReader(resp.Body)
 }
 
 // TestParseChurn covers the plan-string grammar.

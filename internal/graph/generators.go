@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"kkt/internal/rng"
 )
@@ -437,34 +436,21 @@ func components(g *Graph) (comp []int, ncomp int) {
 	return comp, ncomp
 }
 
-// ufFind resolves x's root with path halving; safe under concurrent
-// unions (parent pointers only ever move toward an ancestor).
+// ufFind resolves x's root with path halving.
 func ufFind(parent []uint32, x uint32) uint32 {
-	for {
-		p := atomic.LoadUint32(&parent[x])
-		if p == x {
-			return x
-		}
-		gp := atomic.LoadUint32(&parent[p])
-		atomic.CompareAndSwapUint32(&parent[x], p, gp)
-		x = gp
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
 	}
+	return x
 }
 
 // ufUnion links the components of a and b, attaching the larger root under
-// the smaller; the CAS only succeeds on a current root, so concurrent
-// unions retry rather than corrupt the forest.
+// the smaller, so every root is its component's smallest node.
 func ufUnion(parent []uint32, a, b uint32) {
-	for {
-		ra, rb := ufFind(parent, a), ufFind(parent, b)
-		if ra == rb {
-			return
-		}
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		if atomic.CompareAndSwapUint32(&parent[rb], rb, ra) {
-			return
-		}
+	ra, rb := ufFind(parent, a), ufFind(parent, b)
+	if ra > rb {
+		ra, rb = rb, ra
 	}
+	parent[rb] = ra
 }

@@ -9,6 +9,7 @@ import (
 	"kkt/internal/admit"
 	"kkt/internal/faultplan"
 	"kkt/internal/obsv"
+	"kkt/internal/spanning"
 )
 
 // checkpointVersion gates the on-disk format; bump on incompatible change.
@@ -85,6 +86,35 @@ func WriteCheckpoint(path string, cp Checkpoint) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
 		return err
+	}
+	return nil
+}
+
+// check rejects a checkpoint no daemon on an n-node graph could have
+// written. The digest catches accidental corruption but authenticates
+// nothing (anyone can recompute it), so before an engine is built from the
+// state, the state must rebuild as a graph, its marked edges must form a
+// forest, and every queued event must name nodes of that graph.
+func (cp Checkpoint) check(n int) error {
+	if cp.State.N != n {
+		return fmt.Errorf("state has %d nodes, graph spec %d", cp.State.N, n)
+	}
+	if cp.Epoch < 0 || cp.EventsDone < 0 {
+		return fmt.Errorf("negative progress (epoch %d, events %d)", cp.Epoch, cp.EventsDone)
+	}
+	if _, err := cp.State.Graph(); err != nil {
+		return err
+	}
+	forest := spanning.NewUnionFind(n)
+	for _, e := range cp.State.Edges {
+		if e.Marked && !forest.Union(e.A, e.B) {
+			return fmt.Errorf("marked edge {%d,%d} closes a cycle", e.A, e.B)
+		}
+	}
+	for _, pe := range cp.Queue.Pending {
+		if err := checkEndpoints(pe.Event, n); err != nil {
+			return fmt.Errorf("queued event %d: %w", pe.Idx, err)
+		}
 	}
 	return nil
 }

@@ -29,7 +29,7 @@ type Config struct {
 	Wave int
 
 	// EpochEvents bounds how many events one epoch ingests (default 64).
-	// Smaller epochs mean finer-grained checkpoints and fresher WS deltas;
+	// Smaller epochs mean finer-grained checkpoints and fresher pushed deltas;
 	// larger epochs amortize engine rebuilds.
 	EpochEvents int
 	// Events is the total to process. Required with a churn generator;
@@ -59,7 +59,7 @@ type Config struct {
 
 	// OnWave fires after every admission wave; OnEpoch after every epoch
 	// (durable-state boundary). Both run on the daemon goroutine between
-	// engine runs — keep them short; a WS hub publish is the intended use.
+	// engine runs — keep them short; a hub publish is the intended use.
 	OnWave  func(WaveInfo)
 	OnEpoch func(EpochInfo)
 }
@@ -127,6 +127,20 @@ func (c Config) validate() error {
 	if c.Trace != nil && c.Events > len(c.Trace) {
 		return fmt.Errorf("serve: events=%d exceeds trace length %d", c.Events, len(c.Trace))
 	}
+	for i, ev := range c.Trace {
+		if err := checkEndpoints(ev, c.Spec.N); err != nil {
+			return fmt.Errorf("serve: trace event %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// checkEndpoints rejects an event that does not name two distinct nodes of
+// 1..n — input the repair machines index nodes with unchecked.
+func checkEndpoints(ev faultplan.Event, n int) error {
+	if ev.A < 1 || int(ev.A) > n || ev.B < 1 || int(ev.B) > n || ev.A == ev.B {
+		return fmt.Errorf("endpoints (%d, %d) are not two nodes of 1..%d", ev.A, ev.B, n)
+	}
 	return nil
 }
 
@@ -178,7 +192,8 @@ func New(cfg Config) (*Daemon, error) {
 }
 
 // Resume reconstructs a daemon from a checkpoint. The configuration's
-// fingerprint must match the checkpoint's exactly.
+// fingerprint must match the checkpoint's exactly, and the checkpoint must
+// describe a state a daemon on that graph spec could have reached.
 func Resume(cfg Config, cp Checkpoint) (*Daemon, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -186,6 +201,9 @@ func Resume(cfg Config, cp Checkpoint) (*Daemon, error) {
 	}
 	if fp := cfg.fingerprint(); !reflect.DeepEqual(fp, cp.Fingerprint) {
 		return nil, fmt.Errorf("serve: checkpoint fingerprint mismatch:\n  config     %+v\n  checkpoint %+v", fp, cp.Fingerprint)
+	}
+	if err := cp.check(cfg.Spec.N); err != nil {
+		return nil, fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	d := &Daemon{
 		cfg:        cfg,
@@ -221,7 +239,10 @@ func (d *Daemon) Run(ctx context.Context) (Summary, error) {
 			}
 		}
 		epochSeed := mixSeed(cfg.Seed, d.epoch)
-		g := d.state.Graph()
+		g, err := d.state.Graph()
+		if err != nil {
+			return d.summary(), err
+		}
 
 		var events []faultplan.Event
 		if cfg.Trace != nil {

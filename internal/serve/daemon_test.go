@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"kkt/internal/admit"
 	"kkt/internal/faultplan"
 	"kkt/internal/obsv"
 )
@@ -192,6 +194,91 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(path); err == nil {
 		t.Error("corrupted checkpoint accepted")
+	}
+}
+
+// TestConfigRejectsBadTraceEndpoints: a trace event naming a node outside
+// 1..n (or the same node twice) is refused up front, with its index,
+// rather than crashing a repair machine or being counted as done.
+func TestConfigRejectsBadTraceEndpoints(t *testing.T) {
+	spec := GraphSpec{Family: "gnm", N: 64, M: 192, Seed: 11}.WithDefaults()
+	g := spec.Build()
+	good := faultplan.Compile(faultplan.Plan{Deletes: 4, Inserts: 4}, g, nil, 5)
+	for _, tc := range []struct {
+		name string
+		ev   faultplan.Event
+	}{
+		{"insert-b-past-n", faultplan.Event{Op: faultplan.OpInsert, A: 1, B: 99999, Raw: 5}},
+		{"delete-b-past-n", faultplan.Event{Op: faultplan.OpDelete, A: 1, B: 99999}},
+		{"reweight-b-past-n", faultplan.Event{Op: faultplan.OpWeightChange, A: 1, B: 99999, Raw: 5}},
+		{"a-past-n", faultplan.Event{Op: faultplan.OpInsert, A: 65, B: 2, Raw: 5}},
+		{"a-zero", faultplan.Event{Op: faultplan.OpDelete, A: 0, B: 2}},
+		{"self-loop", faultplan.Event{Op: faultplan.OpInsert, A: 3, B: 3, Raw: 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trace := append([]faultplan.Event(nil), good...)
+			trace[2] = tc.ev
+			_, err := New(Config{Spec: spec, Seed: 9, EpochEvents: 4, Trace: trace, TraceDigest: GraphDigest(g)})
+			if err == nil {
+				t.Fatal("daemon accepted the trace")
+			}
+			if !strings.Contains(err.Error(), "trace event 2:") {
+				t.Errorf("error does not name the event: %v", err)
+			}
+		})
+	}
+}
+
+// TestResumeRejectsCraftedState: the state digest authenticates nothing,
+// so Resume must itself refuse a checkpoint whose state cannot be an
+// engine's — it would otherwise crash the rebuild or the repair machines.
+func TestResumeRejectsCraftedState(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.Events = 16
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		craft func(cp *Checkpoint)
+	}{
+		{"endpoint-out-of-range", func(cp *Checkpoint) { cp.State.Edges[0].B = 99999 }},
+		{"duplicate-edge", func(cp *Checkpoint) { cp.State.Edges[1] = cp.State.Edges[0] }},
+		{"weight-out-of-range", func(cp *Checkpoint) { cp.State.Edges[0].Raw = cp.State.MaxRaw + 1 }},
+		{"every-edge-marked", func(cp *Checkpoint) {
+			for i := range cp.State.Edges {
+				cp.State.Edges[i].Marked = true
+			}
+		}},
+		{"node-count-differs", func(cp *Checkpoint) { cp.State.N++ }},
+		{"negative-progress", func(cp *Checkpoint) { cp.EventsDone = -1 }},
+		{"queued-event-out-of-range", func(cp *Checkpoint) {
+			cp.Queue.Pending = append(cp.Queue.Pending, admit.PendingEvent{
+				Idx: cp.EventsDone, Event: faultplan.Event{Op: faultplan.OpInsert, A: 1, B: 99999, Raw: 5},
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := ReadCheckpoint(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.craft(&cp)
+			path := filepath.Join(t.TempDir(), "crafted.ckpt")
+			if err := WriteCheckpoint(path, cp); err != nil { // recomputes the digest
+				t.Fatal(err)
+			}
+			if cp, err = ReadCheckpoint(path); err != nil {
+				t.Fatalf("digest-valid checkpoint not readable: %v", err)
+			}
+			if _, err := Resume(cfg, cp); err == nil {
+				t.Error("resume accepted the crafted checkpoint")
+			}
+		})
 	}
 }
 

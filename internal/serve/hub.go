@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -10,9 +11,9 @@ import (
 	"kkt/internal/obsv"
 )
 
-// Hub is the WebSocket push fan-out: any number of subscribers, each with
-// a bounded buffer a slow reader can only overflow for itself. The
-// publish path never blocks on a client — an overflowing client's
+// Hub is the server-sent-events push fan-out: any number of subscribers,
+// each with a bounded buffer a slow reader can only overflow for itself.
+// The publish path never blocks on a client — an overflowing client's
 // messages are counted dropped and its next delivered message is a full
 // snapshot resync (a delta stream with a gap is unrecoverable; see the
 // obsv delta contract).
@@ -31,7 +32,6 @@ type hubClient struct {
 	ch       chan []byte
 	needFull atomic.Bool
 	drops    atomic.Uint64
-	closed   chan struct{}
 }
 
 // hubClientBuffer bounds each subscriber's in-flight messages.
@@ -45,15 +45,18 @@ func NewHub() *Hub {
 // Subscribers returns the live subscriber count (the publish fast path).
 func (h *Hub) Subscribers() int { return int(h.subs.Load()) }
 
-// ServeHTTP upgrades the request and streams push messages until the
-// client disconnects or the daemon shuts the hub down.
+// ServeHTTP streams push messages as a text/event-stream response until
+// the client disconnects or the server closes the connection. Each
+// message is one event, "data: <json>\n\n"; that framing holds because
+// json.Marshal escapes control characters inside strings and emits no
+// raw newline, so a message never spans two lines.
 func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	conn, brw := upgradeWS(w, r)
-	if conn == nil {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		http.Error(w, "stream: GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	defer conn.Close()
-	c := &hubClient{ch: make(chan []byte, hubClientBuffer), closed: make(chan struct{})}
+	c := &hubClient{ch: make(chan []byte, hubClientBuffer)}
 	c.needFull.Store(true) // first delivery is always a full snapshot
 	h.mu.Lock()
 	h.clients[c] = struct{}{}
@@ -66,37 +69,24 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.subs.Add(-1)
 	}()
 
-	// Both loops write to conn (text frames here, pong/close echoes from
-	// the reader goroutine); wmu keeps their frames from interleaving.
-	var wmu sync.Mutex
-
-	// Reader: drain client frames (answer pings, detect close/EOF) and
-	// signal the writer loop to stop.
-	go func() {
-		defer close(c.closed)
-		for {
-			_, _, err := readMessage(brw.Reader, func(op byte, payload []byte) error {
-				wmu.Lock()
-				defer wmu.Unlock()
-				return writeFrame(conn, op, false, payload)
-			})
-			if err != nil {
-				return
-			}
-		}
-	}()
-
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	rc := http.NewResponseController(w)
+	if err := rc.Flush(); err != nil {
+		return
+	}
 	for {
 		select {
 		case msg := <-c.ch:
-			conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			wmu.Lock()
-			err := writeFrame(conn, opText, false, msg)
-			wmu.Unlock()
-			if err != nil {
+			// A writer without deadline support streams without one.
+			_ = rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
+			if _, err := fmt.Fprintf(w, "data: %s\n\n", msg); err != nil {
 				return
 			}
-		case <-c.closed:
+			if err := rc.Flush(); err != nil {
+				return
+			}
+		case <-r.Context().Done():
 			return
 		}
 	}
@@ -127,9 +117,10 @@ func (h *Hub) Broadcast(delta []byte, full func(drops uint64) []byte) {
 	}
 }
 
-// PushMsg is one WebSocket stream message. Exactly one of Full or Delta
-// is set: Full on first contact and after a drop gap (Drops then reports
-// how many messages that client missed in total), Delta otherwise.
+// PushMsg is one push stream message (one event on the wire). Exactly one
+// of Full or Delta is set: Full on first contact and after a drop gap
+// (Drops then reports how many messages that client missed in total),
+// Delta otherwise.
 type PushMsg struct {
 	Seq   uint64         `json:"seq"`
 	Full  *obsv.Snapshot `json:"full,omitempty"`

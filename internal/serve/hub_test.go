@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -13,49 +16,62 @@ import (
 	"kkt/internal/race"
 )
 
-// TestWSAcceptKey pins the RFC 6455 §1.3 worked example.
-func TestWSAcceptKey(t *testing.T) {
-	if got, want := wsAcceptKey("dGhlIHNhbXBsZSBub25jZQ=="), "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="; got != want {
-		t.Errorf("accept key = %q, want %q", got, want)
+// subscribe opens the hub's event stream at url. The response headers
+// arrive only after the hub has registered the subscriber, so a publish
+// after subscribe returns always reaches it. Register srv.Close with
+// t.Cleanup before calling this: cleanups run last-first, so the stream
+// is closed before the server waits for its handlers.
+func subscribe(t *testing.T, url string) *StreamReader {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		cancel()
+		t.Fatalf("subscribe %s: %v", url, err)
+	}
+	t.Cleanup(func() {
+		resp.Body.Close()
+		cancel()
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe %s: %s", url, resp.Status)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("subscribe %s: Content-Type %q", url, ct)
+	}
+	return NewStreamReader(resp.Body)
 }
 
-// TestHubStream subscribes a real dialed client to a hub and checks the
+// TestHubStream subscribes a real HTTP client to a hub and checks the
 // full-then-delta protocol: first message carries a full snapshot, later
 // ones deltas, and applying the deltas tracks the publisher's recorder.
 func TestHubStream(t *testing.T) {
 	hub := NewHub()
-	rec := obsv.NewRecorder("ws-test")
+	rec := obsv.NewRecorder("stream-test")
 	pub := NewPublisher(hub, rec)
 	srv := httptest.NewServer(hub)
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 
-	c, err := DialWS(strings.Replace(srv.URL, "http://", "ws://", 1)+"/stream", 5*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	for i := 0; i < 100 && hub.Subscribers() == 0; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
+	c := subscribe(t, srv.URL+"/stream")
 	if hub.Subscribers() != 1 {
-		t.Fatal("subscriber never registered")
+		t.Fatalf("%d subscribers registered, want 1", hub.Subscribers())
 	}
 
-	var byKind []congestKindCounts
-	_ = byKind
 	kinds := makeKindScratch()
 	for i := 0; i < 30; i++ {
 		driveStepServe(rec, i, kinds)
 		pub.Publish(ServeStats{Epoch: i / 10, EventsDone: i, EventsTotal: 30, QueueDepth: 30 - i})
 	}
 
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var state obsv.Snapshot
 	var got int
 	var sawDelta bool
 	for got < 5 {
-		raw, err := c.ReadMessage()
+		raw, err := c.Next()
 		if err != nil {
 			t.Fatalf("read message %d: %v", got, err)
 		}
@@ -98,7 +114,7 @@ func TestHubSlowClientResync(t *testing.T) {
 	rec := obsv.NewRecorder("slow-test")
 	pub := NewPublisher(hub, rec)
 
-	c := &hubClient{ch: make(chan []byte, hubClientBuffer), closed: make(chan struct{})}
+	c := &hubClient{ch: make(chan []byte, hubClientBuffer)}
 	c.needFull.Store(true)
 	hub.mu.Lock()
 	hub.clients[c] = struct{}{}
@@ -165,16 +181,8 @@ func TestServeWSEndToEnd(t *testing.T) {
 	rec := obsv.NewRecorder("e2e")
 	pub := NewPublisher(hub, rec)
 	srv := httptest.NewServer(hub)
-	defer srv.Close()
-
-	c, err := DialWS(srv.URL, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 100 && hub.Subscribers() == 0; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
+	t.Cleanup(srv.Close)
+	c := subscribe(t, srv.URL)
 
 	cfg := Config{
 		Spec:        GraphSpec{Family: "gnm", N: 40, M: 120, Seed: 3},
@@ -200,11 +208,10 @@ func TestServeWSEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var state obsv.Snapshot
 	sawRepair := false
 	for i := 0; i < 200 && !sawRepair; i++ {
-		raw, err := c.ReadMessage()
+		raw, err := c.Next()
 		if err != nil {
 			break // stream drained
 		}
@@ -223,6 +230,91 @@ func TestServeWSEndToEnd(t *testing.T) {
 	}
 	if !sawRepair {
 		t.Error("subscriber never saw a finished repair in the live stream")
+	}
+}
+
+// TestStreamEndsOnServerClose: when the server drops the connection
+// between events — what http.Server.Close does to a live stream — the
+// subscriber's read ends with a clean io.EOF.
+func TestStreamEndsOnServerClose(t *testing.T) {
+	hub := NewHub()
+	pub := NewPublisher(hub, obsv.NewRecorder("close-test"))
+	srv := httptest.NewServer(hub)
+	t.Cleanup(srv.Close)
+	c := subscribe(t, srv.URL)
+
+	pub.Publish(ServeStats{EventsTotal: 1})
+	if _, err := c.Next(); err != nil {
+		t.Fatalf("first message: %v", err)
+	}
+	srv.CloseClientConnections()
+	if _, err := c.Next(); err != io.EOF {
+		t.Errorf("read after server close = %v, want io.EOF", err)
+	}
+}
+
+// TestHubRejectsNonGET: the stream is read-only; any other method gets
+// 405 and never registers a subscriber.
+func TestHubRejectsNonGET(t *testing.T) {
+	hub := NewHub()
+	srv := httptest.NewServer(hub)
+	t.Cleanup(srv.Close)
+	resp, err := http.Post(srv.URL, "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST status = %s, want 405", resp.Status)
+	}
+	if got := resp.Header.Get("Allow"); got != http.MethodGet {
+		t.Errorf("Allow = %q, want GET", got)
+	}
+	if hub.Subscribers() != 0 {
+		t.Errorf("rejected request left %d subscribers", hub.Subscribers())
+	}
+}
+
+// TestStreamReaderGrammar pins the event grammar the reader accepts.
+func TestStreamReaderGrammar(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		want     []string
+		err      error // after the wanted messages; nil means io.EOF
+	}{
+		{"hub-framing", "data: {\"seq\":1}\n\ndata: {\"seq\":2}\n\n", []string{`{"seq":1}`, `{"seq":2}`}, nil},
+		{"comments-and-blank-lines", ": hello\n\n\ndata: x\n: mid\n\n", []string{"x"}, nil},
+		{"multi-line", "data: a\ndata:b\ndata\n\n", []string{"a\nb\n"}, nil},
+		{"crlf", "data: x\r\n\r\n", []string{"x"}, nil},
+		{"other-fields", "event: push\nid: 7\nretry: 10\ndata: x\n\n", []string{"x"}, nil},
+		{"truncated-event", "data: x\n\ndata: y", []string{"x"}, io.ErrUnexpectedEOF},
+		{"empty", "", nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewStreamReader(strings.NewReader(tc.in))
+			for _, want := range tc.want {
+				got, err := r.Next()
+				if err != nil || string(got) != want {
+					t.Fatalf("Next() = %q, %v; want %q", got, err, want)
+				}
+			}
+			wantErr := tc.err
+			if wantErr == nil {
+				wantErr = io.EOF
+			}
+			if _, err := r.Next(); err != wantErr {
+				t.Errorf("final Next() error = %v, want %v", err, wantErr)
+			}
+		})
+	}
+
+	over := "data: " + strings.Repeat("x", 600) + "\ndata: " + strings.Repeat("x", 600) + "\n\n"
+	if _, err := newStreamReader(strings.NewReader(over), 1024).Next(); err == nil || errors.Is(err, io.EOF) {
+		t.Errorf("over-limit event accepted (err %v)", err)
+	}
+	long := "data: " + strings.Repeat("x", 2048) + "\n\n"
+	if _, err := newStreamReader(strings.NewReader(long), 1024).Next(); err == nil || errors.Is(err, io.EOF) {
+		t.Errorf("over-limit line accepted (err %v)", err)
 	}
 }
 

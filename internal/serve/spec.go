@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"kkt/internal/bitwidth"
 	"kkt/internal/graph"
 	"kkt/internal/rng"
 )
@@ -42,6 +43,9 @@ func (s GraphSpec) Validate() error {
 		return fmt.Errorf("serve: graph n=%d, want >= 2", s.N)
 	}
 	s = s.WithDefaults()
+	if _, err := bitwidth.New(s.N, s.MaxRaw); err != nil {
+		return fmt.Errorf("serve: graph spec: %w", err)
+	}
 	switch s.Family {
 	case "gnm":
 		if s.M < s.N-1 || s.M > s.N*(s.N-1)/2 {

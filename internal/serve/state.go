@@ -1,8 +1,8 @@
 // Package serve turns the batch simulator into a long-lived
 // topology-maintenance daemon: an update-stream ingester feeding the
 // admission queue against a live engine, a checkpoint/resume layer that
-// makes multi-hour churn runs survive restarts, and a WebSocket push
-// layer streaming obsv snapshot deltas to subscribers.
+// makes multi-hour churn runs survive restarts, and a server-sent-events
+// push layer streaming obsv snapshot deltas to subscribers.
 //
 // The daemon's determinism story is epoch-based. Engine state (graph +
 // marked forest) is only durable at epoch boundaries, where every
@@ -92,13 +92,19 @@ func StateOf(g *graph.Graph, forest []int) State {
 }
 
 // Graph rebuilds the topology as a graph.Graph (marks are not a graph
-// property; see MarkedPairs).
-func (st State) Graph() *graph.Graph {
-	g := graph.MustNew(st.N, st.MaxRaw)
-	for _, e := range st.Edges {
-		g.MustAddEdge(e.A, e.B, e.Raw)
+// property; see MarkedPairs). It fails on a state graph.New or AddEdge
+// rejects, which only a hand-made checkpoint can hold.
+func (st State) Graph() (*graph.Graph, error) {
+	g, err := graph.New(st.N, st.MaxRaw)
+	if err != nil {
+		return nil, err
 	}
-	return g
+	for _, e := range st.Edges {
+		if err := g.AddEdge(e.A, e.B, e.Raw); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
 // MarkedPairs returns the marked forest as endpoint pairs, in canonical
