@@ -18,9 +18,11 @@ bench:
 	$(GO) run ./cmd/kkt bench --trials 8 --seed 1 --out BENCH_suite.json
 
 # Micro-benchmarks with allocation reporting: the hot-path contracts
-# (zero allocs on Send/dispatch) regress loudly here.
+# (zero allocs on Send/dispatch) regress loudly here. BenchmarkDeliverRandom
+# is the out-of-cache one: random walks on a 100k-node G(n,3n).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkSend$$|BenchmarkSendAsync$$' -benchtime 200000x -benchmem ./internal/congest
+	$(GO) test -run '^$$' -bench 'BenchmarkDeliverRandom$$' -benchtime 1000000x -benchmem ./internal/congest
 	$(GO) test -run '^$$' -bench BenchmarkNewNetwork -benchtime 200x -benchmem ./internal/congest
 	$(GO) test -run '^$$' -bench BenchmarkBuildMST -benchtime 10x -benchmem ./internal/mst
 	$(GO) test -run '^$$' -bench BenchmarkRepairStorm -benchtime 10x -benchmem ./internal/harness

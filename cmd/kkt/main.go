@@ -144,6 +144,35 @@ func addRunFlags(fs *flag.FlagSet, rf *runFlags) {
 	fs.BoolVar(&rf.jsonOut, "json", false, "emit JSON instead of a table")
 }
 
+// validate rejects counts the harness would otherwise silently replace
+// with its defaults: --trials below 1, a negative --workers or --timeout.
+// --workers 0 (GOMAXPROCS) and --timeout 0 (none) keep their meaning.
+func (rf runFlags) validate(stderr io.Writer) error {
+	if rf.trials < 1 {
+		return flagValueError(stderr, "--trials must be at least 1, got %d", rf.trials)
+	}
+	return validatePool(stderr, rf.workers, rf.timeout)
+}
+
+// validatePool checks the worker-pool flags run, bench and scaling share.
+func validatePool(stderr io.Writer, workers int, timeout time.Duration) error {
+	if workers < 0 {
+		return flagValueError(stderr, "--workers must be at least 0 (0 = GOMAXPROCS), got %d", workers)
+	}
+	if timeout < 0 {
+		return flagValueError(stderr, "--timeout must be at least 0 (0 = none), got %v", timeout)
+	}
+	return nil
+}
+
+// flagValueError reports an out-of-range flag value on stderr and returns
+// it as a usage error (exit 2).
+func flagValueError(stderr io.Writer, format string, args ...any) error {
+	err := fmt.Errorf(format, args...)
+	fmt.Fprintln(stderr, "kkt:", err)
+	return usageError{err}
+}
+
 func (rf runFlags) runConfig() harness.RunConfig {
 	return harness.RunConfig{
 		Trials: rf.trials, Seed: rf.seed,
@@ -209,6 +238,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("run takes exactly one scenario name (see 'kkt list')")
 	}
+	if err := rf.validate(stderr); err != nil {
+		return err
+	}
 	if err := of.validate(stderr); err != nil {
 		return err
 	}
@@ -263,6 +295,9 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	out := fs.String("out", "BENCH_suite.json", "report file path")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if err := rf.validate(stderr); err != nil {
 		return err
 	}
 	if err := of.validate(stderr); err != nil {

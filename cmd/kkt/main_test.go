@@ -196,6 +196,54 @@ func TestObsHoldWithoutListenExitsTwo(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeCountsExitTwo: counts the harness would silently replace
+// with defaults (--trials -3 used to run 4 trials and exit 0) are usage
+// errors on every command that takes them, and name the flag.
+func TestOutOfRangeCountsExitTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"run", "flood/gnm/sync", "--trials", "-3"}, "--trials"},
+		{[]string{"run", "flood/gnm/sync", "--trials", "0"}, "--trials"},
+		{[]string{"run", "flood/gnm/sync", "--workers", "-1"}, "--workers"},
+		{[]string{"run", "flood/gnm/sync", "--timeout", "-1s"}, "--timeout"},
+		{[]string{"bench", "--filter", "flood/gnm/sync", "--quiet", "--trials", "0"}, "--trials"},
+		{[]string{"bench", "--filter", "flood/gnm/sync", "--quiet", "--workers", "-1"}, "--workers"},
+		{[]string{"bench", "--filter", "flood/gnm/sync", "--quiet", "--timeout", "-1s"}, "--timeout"},
+		{[]string{"scaling", "--quiet", "--ladder", "64,128", "--workers", "-1"}, "--workers"},
+		{[]string{"scaling", "--quiet", "--ladder", "64,128", "--timeout", "-1s"}, "--timeout"},
+		{[]string{"scaling", "--quiet", "--ladder", "64,128", "--seeds", "0"}, "--seeds"},
+	} {
+		if tc.args[0] != "run" {
+			// Should the check regress, the report lands in a temp dir.
+			tc.args = append(tc.args, "--out", filepath.Join(t.TempDir(), "report.json"))
+		}
+		code, stdout, stderr := exec(t, tc.args...)
+		if code != 2 {
+			t.Errorf("kkt %s: exit = %d, want 2 (usage error)", strings.Join(tc.args, " "), code)
+		}
+		if !strings.Contains(stderr, tc.flag) {
+			t.Errorf("kkt %s: %s not named in %q", strings.Join(tc.args, " "), tc.flag, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("kkt %s: ran anyway: %q", strings.Join(tc.args, " "), stdout)
+		}
+	}
+}
+
+// TestZeroWorkersAndTimeoutKeepTheirMeaning: --workers 0 is GOMAXPROCS
+// and --timeout 0 is no budget, not usage errors.
+func TestZeroWorkersAndTimeoutKeepTheirMeaning(t *testing.T) {
+	code, stdout, stderr := exec(t, "run", "flood/gnm/sync", "--trials", "1", "--workers", "0", "--timeout", "0")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stdout, "flood/gnm/sync") {
+		t.Errorf("no result row: %q", stdout)
+	}
+}
+
 // TestShardsFlagExitsTwo: the engine is single-threaded and has no shard
 // knob, so --shards is an undefined flag — a usage error, exit 2.
 func TestShardsFlagExitsTwo(t *testing.T) {

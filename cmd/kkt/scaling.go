@@ -54,6 +54,12 @@ func cmdScaling(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "kkt: scaling takes no positional arguments (got %q)\n", fs.Arg(0))
 		return usageError{fmt.Errorf("scaling takes no positional arguments")}
 	}
+	if *seeds < 1 {
+		return flagValueError(stderr, "--seeds must be at least 1, got %d", *seeds)
+	}
+	if err := validatePool(stderr, *workers, *timeout); err != nil {
+		return err
+	}
 
 	cfg := scaling.Config{
 		Seeds:   *seeds,

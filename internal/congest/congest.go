@@ -62,6 +62,11 @@ type Message struct {
 
 	seq       uint64 // global send order, for deterministic tie-breaks
 	deliverAt int64  // async delivery time (sync: round number)
+	// removals is Network.removals at send time. Send checks that the link
+	// exists, and only removeHalf takes half-edges away, so while the
+	// network's count still equals this stamp the link is known to be
+	// live and delivery skips the neighbour search.
+	removals uint64
 }
 
 // HalfEdge is one endpoint's local view of an incident link: everything a
@@ -91,13 +96,18 @@ type NodeState struct {
 	// no side map to rebuild on topology changes.
 	Edges []HalfEdge
 
-	// sess holds per-protocol automaton state keyed by session ID: a tiny
-	// linear-scanned vector instead of a map, because a node participates
-	// in at most a handful of sessions at once (its fragment's
-	// broadcast-and-echo plus a global election). The full packed ID —
-	// slot plus generation serial — is compared, so a recycled slot can
-	// never alias a stale entry. Entry capacity is retained across
-	// sessions, so steady-state stores allocate nothing.
+	// sess0 and sess hold per-protocol automaton state keyed by session
+	// ID: a tiny linear-scanned vector instead of a map, because a node
+	// participates in at most a handful of sessions at once (its
+	// fragment's broadcast-and-echo plus a global election). The first
+	// binding lives inline in sess0 — usually the only live one, so a
+	// lookup reads the node's own record and no second line — and further
+	// bindings spill into sess. sess0.sid == 0 marks the inline slot empty,
+	// and sess is then empty too. The full packed ID — slot plus
+	// generation serial — is compared, so a recycled slot can never alias
+	// a stale entry. Entry capacity is retained across sessions, so
+	// steady-state stores allocate nothing.
+	sess0  sessEntry
 	sess   []sessEntry
 	staged []stagedMark // mark changes deferred to the next barrier
 }
@@ -208,6 +218,9 @@ func (ns *NodeState) Degree() int { return len(ns.Edges) }
 
 // SessionState returns the automaton state stored under sid, or nil.
 func (ns *NodeState) SessionState(sid SessionID) any {
+	if ns.sess0.sid == sid {
+		return ns.sess0.state // nil for sid 0: an empty slot holds nothing
+	}
 	for i := range ns.sess {
 		if ns.sess[i].sid == sid {
 			return ns.sess[i].state
@@ -219,7 +232,27 @@ func (ns *NodeState) SessionState(sid SessionID) any {
 // SetSessionState stores automaton state under sid; nil deletes it. The
 // backing vector's capacity is retained, so the steady state (one
 // broadcast-and-echo or election wave after another) never allocates.
+// Session 0 is the sessionless marker and cannot carry state: storing
+// under it panics, since it would alias the empty inline slot.
 func (ns *NodeState) SetSessionState(sid SessionID, st any) {
+	if sid == 0 {
+		panic("congest: SetSessionState on session 0")
+	}
+	if ns.sess0.sid == sid {
+		if st != nil {
+			ns.sess0.state = st
+			return
+		}
+		// Refill the inline slot from the spill vector so it stays empty
+		// only while the node holds no state at all.
+		ns.sess0 = sessEntry{}
+		if last := len(ns.sess) - 1; last >= 0 {
+			ns.sess0 = ns.sess[last]
+			ns.sess[last] = sessEntry{}
+			ns.sess = ns.sess[:last]
+		}
+		return
+	}
 	for i := range ns.sess {
 		if ns.sess[i].sid == sid {
 			if st == nil {
@@ -233,7 +266,11 @@ func (ns *NodeState) SetSessionState(sid SessionID, st any) {
 			return
 		}
 	}
-	if st != nil {
+	switch {
+	case st == nil:
+	case ns.sess0.sid == 0:
+		ns.sess0 = sessEntry{sid: sid, state: st}
+	default:
 		ns.sess = append(ns.sess, sessEntry{sid: sid, state: st})
 	}
 }
@@ -276,8 +313,7 @@ type session struct {
 // Network is the simulator: topology, schedulers, counters, sessions and
 // drivers.
 type Network struct {
-	nodes  []*NodeState // index 1..n; index 0 nil
-	states []NodeState  // backing array for nodes, one allocation
+	states []NodeState // index 1..n by value; index 0 unused
 	layout bitwidth.Layout
 	maxRaw uint64
 
@@ -317,6 +353,13 @@ type Network struct {
 	msgFree []*Message // recycled Message structs
 
 	stagedDrops uint64 // staged mark changes dropped on vanished edges
+
+	// removals counts half-edges ever removed (removeHalf). Messages are
+	// stamped with it at send; see Message.removals.
+	removals uint64
+	// touchSink absorbs the values the delivery loop's touch pass loads
+	// (see touchDests), so the compiler cannot drop the loads.
+	touchSink uint64
 
 	// procFree recycles parked driver goroutines (with their channels)
 	// across spawns within one Run; allProcs lists every driver goroutine
@@ -459,7 +502,6 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 		o(&cfg)
 	}
 	nw := &Network{
-		nodes:   make([]*NodeState, g.N+1),
 		states:  make([]NodeState, g.N+1),
 		layout:  g.Layout,
 		maxRaw:  g.MaxRaw,
@@ -481,14 +523,13 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 		if deg[v] > 0 {
 			ns.Edges = make([]HalfEdge, 0, deg[v])
 		}
-		nw.nodes[v] = ns
 	}
 	for _, e := range g.Edges() {
 		nw.appendHalf(NodeID(e.A), NodeID(e.B), e.Raw)
 		nw.appendHalf(NodeID(e.B), NodeID(e.A), e.Raw)
 	}
 	for v := 1; v <= g.N; v++ {
-		sort.Sort(halfEdgesByNeighbor(nw.nodes[v].Edges))
+		sort.Sort(halfEdgesByNeighbor(nw.states[v].Edges))
 	}
 	if cfg.async {
 		nw.sched = newAsyncScheduler(nw.rng.Split(), cfg.maxDelay)
@@ -512,7 +553,7 @@ func (nw *Network) makeHalf(at, to NodeID, raw uint64) HalfEdge {
 // appendHalf adds a half-edge without maintaining sort order; used only by
 // bulk construction, which sorts once at the end.
 func (nw *Network) appendHalf(at, to NodeID, raw uint64) {
-	ns := nw.nodes[at]
+	ns := &nw.states[at]
 	ns.Edges = append(ns.Edges, nw.makeHalf(at, to, raw))
 }
 
@@ -522,7 +563,7 @@ func (nw *Network) appendHalf(at, to NodeID, raw uint64) {
 // the tombstone so re-inserted links keep the exact per-link FIFO
 // constraint relative to messages scheduled before the deletion.
 func (nw *Network) addHalf(at, to NodeID, raw uint64) {
-	ns := nw.nodes[at]
+	ns := &nw.states[at]
 	he := nw.makeHalf(at, to, raw)
 	if last, ok := nw.fifoTomb[linkKey(at, to)]; ok {
 		he.lastSched = last
@@ -538,11 +579,12 @@ func (nw *Network) addHalf(at, to NodeID, raw uint64) {
 // FIFO state moves to the tombstone map (cold path) so a later re-insert
 // behaves exactly as the old persistent per-link map did.
 func (nw *Network) removeHalf(at, to NodeID) bool {
-	ns := nw.nodes[at]
+	ns := &nw.states[at]
 	i := ns.edgePos(to)
 	if i < 0 {
 		return false
 	}
+	nw.removals++
 	if last := ns.Edges[i].lastSched; last != 0 {
 		if nw.fifoTomb == nil {
 			nw.fifoTomb = make(map[uint64]int64)
@@ -554,7 +596,7 @@ func (nw *Network) removeHalf(at, to NodeID) bool {
 }
 
 // N returns the number of nodes.
-func (nw *Network) N() int { return len(nw.nodes) - 1 }
+func (nw *Network) N() int { return len(nw.states) - 1 }
 
 // Layout returns the bit-field layout shared by all nodes.
 func (nw *Network) Layout() bitwidth.Layout { return nw.layout }
@@ -564,7 +606,10 @@ func (nw *Network) MaxRaw() uint64 { return nw.maxRaw }
 
 // Node returns the state of node v (1-based). Protocol code should only
 // use this for the node a handler or driver is acting as.
-func (nw *Network) Node(v NodeID) *NodeState { return nw.nodes[v] }
+func (nw *Network) Node(v NodeID) *NodeState { return &nw.states[v] }
+
+// hasNode reports whether v names a node, i.e. lies in 1..n.
+func (nw *Network) hasNode(v NodeID) bool { return v != 0 && int(v) < len(nw.states) }
 
 // RegisterHandler installs the automaton step for a message kind. Kinds
 // are interned with Kind and registered once at startup by each protocol
@@ -622,7 +667,7 @@ func (nw *Network) SendU(from, to NodeID, kind KindID, sid SessionID, bits int, 
 }
 
 func (nw *Network) send(from, to NodeID, kind KindID, sid SessionID, bits int, payload any, u uint64) {
-	ns := nw.nodes[from]
+	ns := &nw.states[from]
 	ei := ns.edgePos(to)
 	if ei < 0 {
 		panic(fmt.Sprintf("congest: %d -> %d: no such link (kind %q)", from, to, kind))
@@ -638,6 +683,7 @@ func (nw *Network) send(from, to NodeID, kind KindID, sid SessionID, bits int, p
 	m := nw.getMessage()
 	m.From, m.To, m.Kind, m.Session = from, to, kind, sid
 	m.Bits, m.Payload, m.U, m.seq = bits, payload, u, nw.nextSeq
+	m.removals = nw.removals
 	nw.counters.charge(kind, total)
 	nw.sched.schedule(m, &ns.Edges[ei].lastSched)
 }
@@ -784,13 +830,13 @@ func (nw *Network) Rand() *rng.RNG { return nw.rng.Split() }
 // models a network that already maintains a forest.
 func (nw *Network) SetForest(edges [][2]NodeID) {
 	for v := 1; v <= nw.N(); v++ {
-		ns := nw.nodes[v]
+		ns := &nw.states[v]
 		for i := range ns.Edges {
 			ns.Edges[i].Marked = false
 		}
 	}
 	for _, e := range edges {
-		if !nw.nodes[e[0]].SetMark(e[1], true) || !nw.nodes[e[1]].SetMark(e[0], true) {
+		if !nw.states[e[0]].SetMark(e[1], true) || !nw.states[e[1]].SetMark(e[0], true) {
 			panic(fmt.Sprintf("congest: SetForest: edge {%d,%d} does not exist", e[0], e[1]))
 		}
 	}
@@ -801,11 +847,11 @@ func (nw *Network) SetForest(edges [][2]NodeID) {
 func (nw *Network) MarkedEdges() [][2]NodeID {
 	var out [][2]NodeID
 	for v := 1; v <= nw.N(); v++ {
-		ns := nw.nodes[v]
+		ns := &nw.states[v]
 		for i := range ns.Edges {
 			he := &ns.Edges[i]
 			if he.Neighbor > ns.ID {
-				other := nw.nodes[he.Neighbor].EdgeTo(ns.ID)
+				other := nw.states[he.Neighbor].EdgeTo(ns.ID)
 				if he.Marked != other.Marked {
 					panic(fmt.Sprintf("congest: edge {%d,%d} improperly marked (%v vs %v)",
 						ns.ID, he.Neighbor, he.Marked, other.Marked))
@@ -825,7 +871,7 @@ func (nw *Network) MarkedEdges() [][2]NodeID {
 // dropped and tallied; see StagedDrops.
 func (nw *Network) ApplyStaged() {
 	for v := 1; v <= nw.N(); v++ {
-		nw.stagedDrops += uint64(nw.nodes[v].ApplyStaged())
+		nw.stagedDrops += uint64(nw.states[v].ApplyStaged())
 	}
 }
 
@@ -838,9 +884,13 @@ func (nw *Network) StagedDrops() uint64 { return nw.stagedDrops }
 
 // DeleteLink removes the link {a,b} from both endpoints (an adversarial
 // topology change; not charged). It reports whether the link existed and
-// whether it was marked.
+// whether it was marked; an endpoint outside 1..n is a link that does not
+// exist.
 func (nw *Network) DeleteLink(a, b NodeID) (existed, wasMarked bool) {
-	he := nw.nodes[a].EdgeTo(b)
+	if !nw.hasNode(a) || !nw.hasNode(b) {
+		return false, false
+	}
+	he := nw.states[a].EdgeTo(b)
 	if he == nil {
 		return false, false
 	}
@@ -855,10 +905,10 @@ func (nw *Network) InsertLink(a, b NodeID, raw uint64) error {
 	if a == b {
 		return fmt.Errorf("congest: self-loop at %d", a)
 	}
-	if int(a) >= len(nw.nodes) || int(b) >= len(nw.nodes) || a == 0 || b == 0 {
+	if !nw.hasNode(a) || !nw.hasNode(b) {
 		return fmt.Errorf("congest: no such node in {%d,%d}", a, b)
 	}
-	if nw.nodes[a].EdgeTo(b) != nil {
+	if nw.states[a].EdgeTo(b) != nil {
 		return fmt.Errorf("congest: link {%d,%d} already exists", a, b)
 	}
 	if raw < 1 || raw > nw.maxRaw {
@@ -874,7 +924,10 @@ func (nw *Network) SetRawWeight(a, b NodeID, raw uint64) error {
 	if raw < 1 || raw > nw.maxRaw {
 		return fmt.Errorf("congest: raw weight %d outside [1,%d]", raw, nw.maxRaw)
 	}
-	ha, hb := nw.nodes[a].EdgeTo(b), nw.nodes[b].EdgeTo(a)
+	if !nw.hasNode(a) || !nw.hasNode(b) {
+		return fmt.Errorf("congest: no such node in {%d,%d}", a, b)
+	}
+	ha, hb := nw.states[a].EdgeTo(b), nw.states[b].EdgeTo(a)
 	if ha == nil || hb == nil {
 		return fmt.Errorf("congest: link {%d,%d} does not exist", a, b)
 	}
