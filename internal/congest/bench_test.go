@@ -106,7 +106,7 @@ func BenchmarkDeliverRandom(b *testing.B) {
 		next, best := NodeID(0), ^uint64(0)
 		for i := range node.Edges {
 			he := &node.Edges[i]
-			if key := he.Composite ^ coin; key < best {
+			if key := he.Composite(node.ID) ^ coin; key < best {
 				next, best = he.Neighbor, key
 			}
 		}

@@ -70,13 +70,20 @@ type Message struct {
 }
 
 // HalfEdge is one endpoint's local view of an incident link: everything a
-// node knows under KT1 — the neighbour's ID, the weights, and its own mark.
+// node knows under KT1 — the neighbour's ID, the raw weight, and its own
+// mark. The paper's edge number (the two IDs concatenated, smallest first)
+// and composite weight (raw . edge number) are functions of those and of
+// the owning node's ID, so they are derived on read (EdgeNum, Composite)
+// instead of stored: the struct is 24 bytes, and a node's first eight
+// half-edges span three cache lines instead of six. The layout's two shift
+// widths ride in what would otherwise be padding.
 type HalfEdge struct {
-	Neighbor  NodeID
-	Raw       uint64 // raw weight in [1,u]
-	Composite uint64 // unique composite weight (raw . edgeNum)
-	EdgeNum   uint64 // paper's edge number (IDs concatenated, smallest first)
-	Marked    bool   // does this endpoint consider the edge a tree edge?
+	Neighbor NodeID
+	Marked   bool // does this endpoint consider the edge a tree edge?
+
+	idBits, edgeNumBits uint8 // bitwidth.Layout.IDBits / EdgeNumBits
+
+	Raw uint64 // raw weight in [1,u]
 
 	// lastSched is the async scheduler's per-directed-link FIFO state: the
 	// deliverAt of the last message scheduled from this endpoint to
@@ -84,6 +91,23 @@ type HalfEdge struct {
 	// async hot path; deleted links stash the value in Network.fifoTomb so
 	// a delete/reinsert keeps the exact FIFO semantics of the old map.
 	lastSched int64
+}
+
+// EdgeNum returns the paper's edge number of the link, given the ID of the
+// node owning this half-edge: bitwidth.Layout.EdgeNum(self, Neighbor).
+func (he *HalfEdge) EdgeNum(self NodeID) uint64 {
+	lo, hi := self, he.Neighbor
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return uint64(lo)<<he.idBits | uint64(hi)
+}
+
+// Composite returns the link's unique composite weight, given the ID of
+// the node owning this half-edge: bitwidth.Layout.Composite(Raw,
+// EdgeNum(self)).
+func (he *HalfEdge) Composite(self NodeID) uint64 {
+	return he.Raw<<he.edgeNumBits | he.EdgeNum(self)
 }
 
 // NodeState is the entire local state of one processor. Protocol code
@@ -493,9 +517,11 @@ func (h halfEdgesByNeighbor) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 
 // NewNetwork builds a network with one node per graph vertex and one link
 // per graph edge. No edges are marked; use SetForest or protocol runs to
-// mark. Construction is bulk: per-node edge slices are sized up front,
-// filled, and sorted once — O(deg log deg) per node instead of the O(deg²)
-// of repeated sorted inserts.
+// mark. Construction is bulk: every half-edge lives in one arena, each
+// node's Edges is a capacity-capped window of it (arena[off:off:off+deg]),
+// filled, then sorted once — O(deg log deg) per node instead of the O(deg²)
+// of repeated sorted inserts. The cap keeps windows disjoint: an insert
+// into a full window reallocates that node's edges alone.
 func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 	cfg := config{seed: 1, maxDelay: 8}
 	for _, o := range opts {
@@ -517,11 +543,14 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 		deg[e.A]++
 		deg[e.B]++
 	}
+	arena := make([]HalfEdge, 2*g.M())
+	off := 0
 	for v := 1; v <= g.N; v++ {
 		ns := &nw.states[v]
 		ns.ID = NodeID(v)
 		if deg[v] > 0 {
-			ns.Edges = make([]HalfEdge, 0, deg[v])
+			ns.Edges = arena[off : off : off+deg[v]]
+			off += deg[v]
 		}
 	}
 	for _, e := range g.Edges() {
@@ -539,14 +568,13 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 	return nw
 }
 
-// makeHalf builds the local view of the link at -> to.
-func (nw *Network) makeHalf(at, to NodeID, raw uint64) HalfEdge {
-	num := nw.layout.EdgeNum(uint32(at), uint32(to))
+// makeHalf builds the local view of the link toward to.
+func (nw *Network) makeHalf(to NodeID, raw uint64) HalfEdge {
 	return HalfEdge{
-		Neighbor:  to,
-		Raw:       raw,
-		Composite: nw.layout.Composite(raw, num),
-		EdgeNum:   num,
+		Neighbor:    to,
+		Raw:         raw,
+		idBits:      uint8(nw.layout.IDBits),
+		edgeNumBits: uint8(nw.layout.EdgeNumBits),
 	}
 }
 
@@ -554,7 +582,7 @@ func (nw *Network) makeHalf(at, to NodeID, raw uint64) HalfEdge {
 // bulk construction, which sorts once at the end.
 func (nw *Network) appendHalf(at, to NodeID, raw uint64) {
 	ns := &nw.states[at]
-	ns.Edges = append(ns.Edges, nw.makeHalf(at, to, raw))
+	ns.Edges = append(ns.Edges, nw.makeHalf(to, raw))
 }
 
 // addHalf inserts a half-edge into the sorted Edges slice in place: one
@@ -564,7 +592,7 @@ func (nw *Network) appendHalf(at, to NodeID, raw uint64) {
 // constraint relative to messages scheduled before the deletion.
 func (nw *Network) addHalf(at, to NodeID, raw uint64) {
 	ns := &nw.states[at]
-	he := nw.makeHalf(at, to, raw)
+	he := nw.makeHalf(to, raw)
 	if last, ok := nw.fifoTomb[linkKey(at, to)]; ok {
 		he.lastSched = last
 		delete(nw.fifoTomb, linkKey(at, to))
@@ -932,7 +960,5 @@ func (nw *Network) SetRawWeight(a, b NodeID, raw uint64) error {
 		return fmt.Errorf("congest: link {%d,%d} does not exist", a, b)
 	}
 	ha.Raw, hb.Raw = raw, raw
-	comp := nw.layout.Composite(raw, ha.EdgeNum)
-	ha.Composite, hb.Composite = comp, comp
 	return nil
 }

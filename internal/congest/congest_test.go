@@ -336,7 +336,7 @@ func TestTopologyMutation(t *testing.T) {
 func TestSetRawWeightUpdatesComposite(t *testing.T) {
 	g := graph.Path(2, 100, func(int) uint64 { return 10 })
 	nw := NewNetwork(g)
-	before := nw.Node(1).EdgeTo(2).Composite
+	before := nw.Node(1).EdgeTo(2).Composite(1)
 	if err := nw.SetRawWeight(1, 2, 99); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestSetRawWeightUpdatesComposite(t *testing.T) {
 	if he1.Raw != 99 || he2.Raw != 99 {
 		t.Error("raw weight not updated on both halves")
 	}
-	if he1.Composite == before || he1.Composite != he2.Composite {
+	if he1.Composite(1) == before || he1.Composite(1) != he2.Composite(2) {
 		t.Error("composite not updated consistently")
 	}
 	if err := nw.SetRawWeight(1, 2, 1000); err == nil {

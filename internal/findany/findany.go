@@ -146,7 +146,7 @@ func levelVecLocal(node *congest.NodeState, downAny any) uint64 {
 	d := downAny.(*levelVecDown)
 	var vec uint64
 	for i := range node.Edges {
-		level := d.Hash.PrefixLevel(node.Edges[i].EdgeNum)
+		level := d.Hash.PrefixLevel(node.Edges[i].EdgeNum(node.ID))
 		// edge contributes to every bit at or above its level:
 		// [h(e) < 2^i] holds for all i >= level.
 		vec ^= ^uint64(0) << uint(level)
@@ -159,8 +159,8 @@ func xorLocal(node *congest.NodeState, downAny any) uint64 {
 	bound := uint64(1) << uint(d.Min)
 	var x uint64
 	for i := range node.Edges {
-		if d.Hash.Hash(node.Edges[i].EdgeNum) < bound {
-			x ^= node.Edges[i].EdgeNum
+		if en := node.Edges[i].EdgeNum(node.ID); d.Hash.Hash(en) < bound {
+			x ^= en
 		}
 	}
 	return x
@@ -169,7 +169,7 @@ func xorLocal(node *congest.NodeState, downAny any) uint64 {
 func countLocal(node *congest.NodeState, downAny any) uint64 {
 	d := downAny.(*countDown)
 	for i := range node.Edges {
-		if node.Edges[i].EdgeNum == d.EdgeNum {
+		if node.Edges[i].EdgeNum(node.ID) == d.EdgeNum {
 			return 1
 		}
 	}

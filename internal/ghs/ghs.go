@@ -288,7 +288,7 @@ func (g *Protocol) enterPhase(nw *congest.Network, node *congest.NodeState, st *
 		he := &node.Edges[i]
 		if !he.Marked && !st.isRejected(i) {
 			st.probes = append(st.probes, int32(i))
-			st.probeComps = append(st.probeComps, he.Composite)
+			st.probeComps = append(st.probeComps, he.Composite(node.ID))
 		}
 	}
 	sort.Sort(st)
@@ -400,7 +400,7 @@ func (g *Protocol) onStatus(nw *congest.Network, node *congest.NodeState, msg *c
 		// probing in increasing weight order: the first accept is the
 		// node's minimum outgoing edge.
 		he := node.EdgeTo(msg.From)
-		st.ownBest = candidate{composite: he.Composite, edgeNum: he.EdgeNum, valid: true}
+		st.ownBest = candidate{composite: he.Composite(node.ID), edgeNum: he.EdgeNum(node.ID), valid: true}
 		st.ownDone = true
 	} else {
 		st.reject(node.EdgeIndex(msg.From))

@@ -219,8 +219,8 @@ func pathMaxSpec(target congest.NodeID) *tree.Spec {
 				// extend the child's path by the connecting tree edge.
 				res.Found = true
 				res.MaxComposite, res.MaxEdgeNum = cr.MaxComposite, cr.MaxEdgeNum
-				if c.Edge.Composite > res.MaxComposite {
-					res.MaxComposite, res.MaxEdgeNum = c.Edge.Composite, c.Edge.EdgeNum
+				if comp := c.Edge.Composite(node.ID); comp > res.MaxComposite {
+					res.MaxComposite, res.MaxEdgeNum = comp, c.Edge.EdgeNum(node.ID)
 				}
 			}
 			return res
@@ -239,10 +239,10 @@ func swapSpec(removeEdgeNum, addEdgeNum uint64) *tree.Spec {
 			d := down.([2]uint64)
 			for i := range node.Edges {
 				he := &node.Edges[i]
-				if he.EdgeNum == d[0] && he.Marked {
+				if he.EdgeNum(node.ID) == d[0] && he.Marked {
 					node.StageUnmark(he.Neighbor)
 				}
-				if he.EdgeNum == d[1] && !he.Marked {
+				if he.EdgeNum(node.ID) == d[1] && !he.Marked {
 					node.StageMark(he.Neighbor)
 				}
 			}

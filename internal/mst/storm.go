@@ -91,9 +91,9 @@ func (sr *stormRepair) Step(t *congest.Task, w congest.Wake) (congest.SessionID,
 			sr.pr.SendMarkX(sr.root, sr.peer)
 			sr.action = Added
 			return 0, true, nil
-		case sr.nw.Node(sr.root).EdgeTo(sr.peer).Composite < pm.MaxComposite:
+		case sr.nw.Node(sr.root).EdgeTo(sr.peer).Composite(sr.root) < pm.MaxComposite:
 			sr.st = srSwap
-			spec := swapSpec(pm.MaxEdgeNum, sr.nw.Node(sr.root).EdgeTo(sr.peer).EdgeNum)
+			spec := swapSpec(pm.MaxEdgeNum, sr.nw.Node(sr.root).EdgeTo(sr.peer).EdgeNum(sr.root))
 			return sr.pr.StartBroadcastEcho(sr.root, spec), false, nil
 		default:
 			sr.action = Kept

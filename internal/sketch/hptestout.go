@@ -92,10 +92,10 @@ func hpLocal(node *congest.NodeState, downAny any) any {
 	}
 	for ei := range node.Edges {
 		he := &node.Edges[ei]
-		if he.Composite < d.Range.Lo || he.Composite > d.Range.Hi {
+		if c := he.Composite(node.ID); c < d.Range.Lo || c > d.Range.Hi {
 			continue
 		}
-		root := ring.Reduce(he.EdgeNum)
+		root := ring.Reduce(he.EdgeNum(node.ID))
 		isUp := node.ID < he.Neighbor
 		for i := 0; i < d.Reps; i++ {
 			factor := ring.Sub(ring.Reduce(d.Alphas[i]), root)

@@ -58,13 +58,13 @@ func surveyLocal(node *congest.NodeState, down any) any {
 	*s = Survey{Size: 1, DegreeSum: node.Degree()}
 	for i := range node.Edges {
 		he := &node.Edges[i]
-		if he.EdgeNum > s.MaxEdgeNum {
-			s.MaxEdgeNum = he.EdgeNum
+		if en := he.EdgeNum(node.ID); en > s.MaxEdgeNum {
+			s.MaxEdgeNum = en
 		}
 		if !he.Marked {
 			s.UnmarkedDegreeSum++
-			if he.Composite > s.MaxComposite {
-				s.MaxComposite = he.Composite
+			if c := he.Composite(node.ID); c > s.MaxComposite {
+				s.MaxComposite = c
 			}
 		}
 	}

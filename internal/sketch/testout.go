@@ -101,13 +101,14 @@ func testOutLocalU(node *congest.NodeState, downAny any) uint64 {
 	var word uint64
 	for i := range node.Edges {
 		he := &node.Edges[i]
-		if he.Composite < d.Range.Lo || he.Composite > d.Range.Hi {
+		c := he.Composite(node.ID)
+		if c < d.Range.Lo || c > d.Range.Hi {
 			continue
 		}
-		if d.Hash.Bit(he.EdgeNum) == 0 {
+		if d.Hash.Bit(he.EdgeNum(node.ID)) == 0 {
 			continue
 		}
-		word ^= uint64(1) << uint((he.Composite-d.Range.Lo)/d.stride)
+		word ^= uint64(1) << uint((c-d.Range.Lo)/d.stride)
 	}
 	return word
 }

@@ -97,7 +97,7 @@ func AddEdgeSpec(edgeNum uint64) *Spec {
 			en := down.(uint64)
 			for i := range node.Edges {
 				he := &node.Edges[i]
-				if he.EdgeNum == en && !he.Marked {
+				if he.EdgeNum(node.ID) == en && !he.Marked {
 					node.StageMark(he.Neighbor)
 					emit(he.Neighbor, KindMarkX, 16, nil)
 				}
