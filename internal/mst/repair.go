@@ -209,21 +209,17 @@ func pathMaxSpec(target congest.NodeID) *tree.Spec {
 		Local: func(node *congest.NodeState, down any) any {
 			return pathMaxResult{Found: node.ID == down.(congest.NodeID)}
 		},
-		Combine: func(node *congest.NodeState, down, local any, children []tree.ChildEcho) any {
-			res := local.(pathMaxResult)
-			for _, c := range children {
-				cr := c.Value.(pathMaxResult)
-				if !cr.Found {
-					continue
-				}
-				// extend the child's path by the connecting tree edge.
-				res.Found = true
-				res.MaxComposite, res.MaxEdgeNum = cr.MaxComposite, cr.MaxEdgeNum
-				if comp := c.Edge.Composite(node.ID); comp > res.MaxComposite {
-					res.MaxComposite, res.MaxEdgeNum = comp, c.Edge.EdgeNum(node.ID)
-				}
+		Combine: func(node *congest.NodeState, down, acc any, c tree.ChildEcho) any {
+			cr := c.Value.(pathMaxResult)
+			if !cr.Found {
+				return acc
 			}
-			return res
+			// extend the child's path by the connecting tree edge.
+			he := node.EdgeTo(c.From)
+			if comp := he.Composite(node.ID); comp > cr.MaxComposite {
+				cr.MaxComposite, cr.MaxEdgeNum = comp, he.EdgeNum(node.ID)
+			}
+			return cr
 		},
 	}
 }
@@ -246,9 +242,6 @@ func swapSpec(removeEdgeNum, addEdgeNum uint64) *tree.Spec {
 					node.StageMark(he.Neighbor)
 				}
 			}
-		},
-		Combine: func(node *congest.NodeState, down, local any, children []tree.ChildEcho) any {
-			return nil
 		},
 	}
 }

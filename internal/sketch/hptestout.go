@@ -109,19 +109,16 @@ func hpLocal(node *congest.NodeState, downAny any) any {
 	return ev
 }
 
-// hpCombine multiplies children's products into the node's own and
-// recycles the children's evals.
-func hpCombine(node *congest.NodeState, downAny, local any, children []tree.ChildEcho) any {
-	ev := local.(*hpEval)
+// hpCombine multiplies one child's products into the node's own and
+// recycles the child's eval.
+func hpCombine(node *congest.NodeState, downAny, acc any, c tree.ChildEcho) any {
+	ev, cev := acc.(*hpEval), c.Value.(*hpEval)
 	ring := modring.Default()
-	for _, c := range children {
-		cev := c.Value.(*hpEval)
-		for i := 0; i < ev.reps; i++ {
-			ev.pairs[i].Up = ring.Mul(ev.pairs[i].Up, cev.pairs[i].Up)
-			ev.pairs[i].Down = ring.Mul(ev.pairs[i].Down, cev.pairs[i].Down)
-		}
-		hpEvalPool.Put(cev)
+	for i := 0; i < ev.reps; i++ {
+		ev.pairs[i].Up = ring.Mul(ev.pairs[i].Up, cev.pairs[i].Up)
+		ev.pairs[i].Down = ring.Mul(ev.pairs[i].Down, cev.pairs[i].Down)
 	}
+	hpEvalPool.Put(cev)
 	return ev
 }
 

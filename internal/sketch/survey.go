@@ -71,21 +71,14 @@ func surveyLocal(node *congest.NodeState, down any) any {
 	return s
 }
 
-func surveyCombine(node *congest.NodeState, down, local any, children []tree.ChildEcho) any {
-	s := local.(*Survey)
-	for _, c := range children {
-		cs := c.Value.(*Survey)
-		s.Size += cs.Size
-		s.DegreeSum += cs.DegreeSum
-		s.UnmarkedDegreeSum += cs.UnmarkedDegreeSum
-		if cs.MaxComposite > s.MaxComposite {
-			s.MaxComposite = cs.MaxComposite
-		}
-		if cs.MaxEdgeNum > s.MaxEdgeNum {
-			s.MaxEdgeNum = cs.MaxEdgeNum
-		}
-		surveyPool.Put(cs)
-	}
+func surveyCombine(node *congest.NodeState, down, acc any, c tree.ChildEcho) any {
+	s, cs := acc.(*Survey), c.Value.(*Survey)
+	s.Size += cs.Size
+	s.DegreeSum += cs.DegreeSum
+	s.UnmarkedDegreeSum += cs.UnmarkedDegreeSum
+	s.MaxComposite = max(s.MaxComposite, cs.MaxComposite)
+	s.MaxEdgeNum = max(s.MaxEdgeNum, cs.MaxEdgeNum)
+	surveyPool.Put(cs)
 	return s
 }
 

@@ -143,12 +143,8 @@ func containsSpec(target congest.NodeID) *tree.Spec {
 		Local: func(node *congest.NodeState, down any) any {
 			return node.ID == down.(congest.NodeID)
 		},
-		Combine: func(node *congest.NodeState, down, local any, children []tree.ChildEcho) any {
-			found := local.(bool)
-			for _, c := range children {
-				found = found || c.Value.(bool)
-			}
-			return found
+		Combine: func(node *congest.NodeState, down, acc any, c tree.ChildEcho) any {
+			return acc.(bool) || c.Value.(bool)
 		},
 	}
 }

@@ -6,10 +6,11 @@ import (
 	"kkt/internal/congest"
 )
 
-// ChildEcho is one child's aggregated echo, tagged with the connecting
-// half-edge so Combine can use the edge's weight (e.g. tree-path maxima).
+// ChildEcho is one child's aggregated echo, tagged with the child's ID so
+// Combine can look up the connecting edge (node.EdgeTo(From)) when it needs
+// the edge's weight, e.g. for tree-path maxima.
 type ChildEcho struct {
-	Edge  congest.HalfEdge
+	From  congest.NodeID
 	Value any
 }
 
@@ -25,9 +26,9 @@ type Emit func(to congest.NodeID, kind congest.KindID, bits int, payload any)
 //
 // A spec uses exactly one of two echo lanes:
 //
-//   - the boxed lane (Local/Combine): echo values are `any`; children's
-//     echoes are collected into a ChildEcho slice and folded at once.
-//     General, but every echo boxes its value.
+//   - the boxed lane (Local/Combine): echo values are `any`; Local seeds a
+//     per-node accumulator and each child's echo folds into it as it
+//     arrives. General, but every echo boxes its value.
 //
 //   - the unboxed lane (LocalU/CombineU): echo values are single uint64
 //     words (parities, XORs, small counters — the dominant case in the
@@ -42,12 +43,17 @@ type Spec struct {
 	DownBits int
 	UpBits   int
 	// Local computes the node's own contribution upon receiving the
-	// broadcast (boxed lane). May be nil (treated as contributing nil).
+	// broadcast (boxed lane): the accumulator's initial value. May be nil
+	// (the accumulator starts as nil).
 	Local func(node *congest.NodeState, down any) any
-	// Combine folds the node's local value with its children's echoes
-	// into the value echoed to the parent (and, at the root, into the
-	// session result). Required on the boxed lane.
-	Combine func(node *congest.NodeState, down any, local any, children []ChildEcho) any
+	// Combine folds one child's echo into the accumulator and returns the
+	// new accumulator (boxed lane). It runs once per echo, in arrival
+	// order, which differs between schedulers — so the fold must not
+	// depend on that order. Once every child has echoed, the accumulator
+	// is the value echoed to the parent (and, at the root, the session
+	// result). nil discards children's echoes: a spec with neither Local
+	// nor Combine echoes nil.
+	Combine func(node *congest.NodeState, down, acc any, child ChildEcho) any
 	// LocalU, when non-nil, selects the unboxed lane and computes the
 	// node's own word. Local and Combine must be nil then.
 	LocalU func(node *congest.NodeState, down any) uint64
@@ -65,15 +71,13 @@ type Spec struct {
 func (s *Spec) unboxed() bool { return s.LocalU != nil }
 
 // beState is the per-node automaton state of one broadcast-and-echo.
-// States are recycled through the Protocol's free list; children keeps its
-// backing array across sessions, so a warm protocol performs whole
-// broadcast-and-echoes without allocating.
+// States are recycled through the Protocol's free list, so a warm protocol
+// performs whole broadcast-and-echoes without allocating.
 type beState struct {
 	parent   congest.NodeID // 0 at the root
 	expected int            // children still to echo
-	children []ChildEcho    // boxed lane only
-	local    any            // boxed lane
-	acc      uint64         // unboxed lane accumulator
+	acc      any            // boxed lane accumulator
+	accU     uint64         // unboxed lane accumulator
 }
 
 // getBE pops a recycled beState (or allocates) and initialises it.
@@ -88,14 +92,9 @@ func (pr *Protocol) getBE(parent congest.NodeID) *beState {
 	return &beState{parent: parent}
 }
 
-// putBE recycles a finished beState, dropping value references for GC but
-// keeping slice capacity.
+// putBE recycles a finished beState, dropping its value reference for GC.
 func (pr *Protocol) putBE(st *beState) {
-	for i := range st.children {
-		st.children[i] = ChildEcho{}
-	}
-	st.children = st.children[:0]
-	*st = beState{children: st.children}
+	*st = beState{}
 	pr.beFree = append(pr.beFree, st)
 }
 
@@ -128,17 +127,13 @@ func (pr *Protocol) clearSpec(sid congest.SessionID) {
 
 // StartBroadcastEcho begins a broadcast-and-echo rooted at root over the
 // marked edges. The returned session completes (at the initiating driver)
-// with Combine's value at the root — CombineU's word, via AwaitU, on the
-// unboxed lane. The marked subgraph containing root must be a tree,
+// with the root's accumulator once every echo has folded in — CombineU's
+// word, via AwaitU, on the unboxed lane. The marked subgraph containing root must be a tree,
 // otherwise the run panics — cycles are a protocol error here (Build-ST
 // handles cycles via elections, never via B&E).
 func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.SessionID {
-	if spec.unboxed() {
-		if spec.Local != nil || spec.Combine != nil {
-			panic("tree: Spec mixes the unboxed (LocalU) and boxed (Local/Combine) lanes")
-		}
-	} else if spec.Combine == nil {
-		panic("tree: Spec.Combine is required")
+	if spec.unboxed() && (spec.Local != nil || spec.Combine != nil) {
+		panic("tree: Spec mixes the unboxed (LocalU) and boxed (Local/Combine) lanes")
 	}
 	if o := pr.nw.Obs(); o != nil {
 		o.Count("tree.bcast_echo", 1)
@@ -151,19 +146,6 @@ func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.
 	return sid
 }
 
-// BroadcastEcho is the blocking driver helper: start, await, return.
-func (pr *Protocol) BroadcastEcho(p *congest.Proc, root congest.NodeID, spec *Spec) (any, error) {
-	sid := pr.StartBroadcastEcho(root, spec)
-	return p.Await(sid)
-}
-
-// BroadcastEchoU is BroadcastEcho for unboxed-lane specs: the root's word
-// comes back without ever being boxed.
-func (pr *Protocol) BroadcastEchoU(p *congest.Proc, root congest.NodeID, spec *Spec) (uint64, error) {
-	sid := pr.StartBroadcastEcho(root, spec)
-	return p.AwaitU(sid)
-}
-
 // runDownAt performs the on-broadcast work at a node: side effects, local
 // compute, forwarding, and the immediate echo when the node is a leaf.
 func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
@@ -173,9 +155,9 @@ func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid 
 		})
 	}
 	if spec.unboxed() {
-		st.acc = spec.LocalU(node, spec.Down)
+		st.accU = spec.LocalU(node, spec.Down)
 	} else if spec.Local != nil {
-		st.local = spec.Local(node, spec.Down)
+		st.acc = spec.Local(node, spec.Down)
 	}
 	for i := range node.Edges {
 		he := &node.Edges[i]
@@ -191,12 +173,12 @@ func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid 
 	node.SetSessionState(sid, st)
 }
 
-// echoUp finishes a node: aggregates and either completes the session (at
-// the root) or echoes to the parent.
+// echoUp finishes a node: its accumulator, with every child folded in,
+// either completes the session (at the root) or is echoed to the parent.
 func (pr *Protocol) echoUp(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
 	parent := st.parent
 	if spec.unboxed() {
-		val := st.acc
+		val := st.accU
 		node.SetSessionState(sid, nil)
 		pr.putBE(st)
 		if parent == 0 {
@@ -207,7 +189,7 @@ func (pr *Protocol) echoUp(nw *congest.Network, node *congest.NodeState, sid con
 		nw.SendU(node.ID, parent, KindUp, sid, spec.UpBits, val)
 		return
 	}
-	val := spec.Combine(node, spec.Down, st.local, st.children)
+	val := st.acc
 	node.SetSessionState(sid, nil)
 	pr.putBE(st)
 	if parent == 0 {
@@ -240,15 +222,15 @@ func (pr *Protocol) onUp(nw *congest.Network, node *congest.NodeState, msg *cong
 	if !ok {
 		panic(fmt.Sprintf("tree: node %d got echo without broadcast state in session %d", node.ID, msg.Session))
 	}
-	if spec.unboxed() {
-		if spec.CombineU != nil {
-			st.acc = spec.CombineU(node, spec.Down, st.acc, msg.U)
-		} else {
-			st.acc ^= msg.U
+	switch {
+	case !spec.unboxed():
+		if spec.Combine != nil {
+			st.acc = spec.Combine(node, spec.Down, st.acc, ChildEcho{From: msg.From, Value: msg.Payload})
 		}
-	} else {
-		he := node.EdgeTo(msg.From)
-		st.children = append(st.children, ChildEcho{Edge: *he, Value: msg.Payload})
+	case spec.CombineU != nil:
+		st.accU = spec.CombineU(node, spec.Down, st.accU, msg.U)
+	default:
+		st.accU ^= msg.U
 	}
 	st.expected--
 	if st.expected == 0 {

@@ -103,8 +103,5 @@ func AddEdgeSpec(edgeNum uint64) *Spec {
 				}
 			}
 		},
-		Combine: func(node *congest.NodeState, down, local any, children []ChildEcho) any {
-			return nil
-		},
 	}
 }

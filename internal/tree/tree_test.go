@@ -28,12 +28,8 @@ func sumSpec() *Spec {
 		Local: func(node *congest.NodeState, down any) any {
 			return uint64(node.ID)
 		},
-		Combine: func(node *congest.NodeState, down any, local any, children []ChildEcho) any {
-			total := local.(uint64)
-			for _, c := range children {
-				total += c.Value.(uint64)
-			}
-			return total
+		Combine: func(node *congest.NodeState, down, acc any, c ChildEcho) any {
+			return acc.(uint64) + c.Value.(uint64)
 		},
 	}
 }
@@ -44,7 +40,7 @@ func TestBroadcastEchoSum(t *testing.T) {
 			nw, pr := pathNet(t, n)
 			var got uint64
 			nw.Spawn("be", func(p *congest.Proc) error {
-				v, err := pr.BroadcastEcho(p, root, sumSpec())
+				v, err := p.Await(pr.StartBroadcastEcho(root, sumSpec()))
 				if err != nil {
 					return err
 				}
@@ -73,7 +69,7 @@ func TestBroadcastEchoSingleton(t *testing.T) {
 	pr := Attach(nw)
 	var got uint64
 	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := pr.BroadcastEcho(p, 2, sumSpec())
+		v, err := p.Await(pr.StartBroadcastEcho(2, sumSpec()))
 		if err != nil {
 			return err
 		}
@@ -96,7 +92,7 @@ func TestBroadcastEchoRounds(t *testing.T) {
 	const n = 8
 	nw, pr := pathNet(t, n)
 	nw.Spawn("be", func(p *congest.Proc) error {
-		_, err := pr.BroadcastEcho(p, 1, sumSpec())
+		_, err := p.Await(pr.StartBroadcastEcho(1, sumSpec()))
 		return err
 	})
 	if err := nw.Run(); err != nil {
@@ -112,7 +108,7 @@ func TestBroadcastEchoAsync(t *testing.T) {
 	nw, pr := pathNet(t, n, congest.WithAsync(12), congest.WithSeed(7))
 	var got uint64
 	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := pr.BroadcastEcho(p, 4, sumSpec())
+		v, err := p.Await(pr.StartBroadcastEcho(4, sumSpec()))
 		if err != nil {
 			return err
 		}
@@ -129,28 +125,20 @@ func TestBroadcastEchoAsync(t *testing.T) {
 
 func TestBroadcastEchoChildEdgeValues(t *testing.T) {
 	// Max edge weight on the path from each node up to the root: at the
-	// root this is the max weight in the tree. Exercises ChildEcho.Edge.
+	// root this is the max weight in the tree. Exercises ChildEcho.From.
 	const n = 6
 	nw, pr := pathNet(t, n) // weights 1..n-1 along the path
 	spec := &Spec{
 		DownBits: 8,
 		UpBits:   64,
-		Combine: func(node *congest.NodeState, down, local any, children []ChildEcho) any {
-			var best uint64
-			for _, c := range children {
-				if c.Edge.Raw > best {
-					best = c.Edge.Raw
-				}
-				if v := c.Value.(uint64); v > best {
-					best = v
-				}
-			}
-			return best
+		Local:    func(*congest.NodeState, any) any { return uint64(0) },
+		Combine: func(node *congest.NodeState, down, acc any, c ChildEcho) any {
+			return max(acc.(uint64), node.EdgeTo(c.From).Raw, c.Value.(uint64))
 		},
 	}
 	var got uint64
 	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := pr.BroadcastEcho(p, 1, spec)
+		v, err := p.Await(pr.StartBroadcastEcho(1, spec))
 		if err != nil {
 			return err
 		}
@@ -181,7 +169,7 @@ func TestBroadcastEchoOnDownEmit(t *testing.T) {
 		}
 	}
 	nw.Spawn("be", func(p *congest.Proc) error {
-		if _, err := pr.BroadcastEcho(p, 1, spec); err != nil {
+		if _, err := p.Await(pr.StartBroadcastEcho(1, spec)); err != nil {
 			return err
 		}
 		p.AwaitQuiescence()
@@ -206,7 +194,7 @@ func TestBroadcastEchoPanicsOnCycle(t *testing.T) {
 	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}, {3, 4}, {1, 4}})
 	pr := Attach(nw)
 	nw.Spawn("be", func(p *congest.Proc) error {
-		_, err := pr.BroadcastEcho(p, 1, sumSpec())
+		_, err := p.Await(pr.StartBroadcastEcho(1, sumSpec()))
 		return err
 	})
 	defer func() {
