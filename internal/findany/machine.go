@@ -51,13 +51,16 @@ type Machine struct {
 	cand        uint64 // candidate edge number between msXor and msCount
 
 	pb       *probes
+	carriers *sketch.Carriers
 	hpRun    *sketch.HPRunner
 	alphaBuf [sketch.MaxReps]uint64
 }
 
-// NewMachine returns a reusable FindAny machine; arm it with Reset.
-func NewMachine() *Machine {
-	return &Machine{pb: newProbes(), hpRun: sketch.NewHPRunner()}
+// NewMachine returns a reusable FindAny machine whose survey and HP-TestOut
+// echoes recycle through c (shared by the machines of one fan-out); arm it
+// with Reset.
+func NewMachine(c *sketch.Carriers) *Machine {
+	return &Machine{pb: newProbes(), carriers: c, hpRun: sketch.NewHPRunner(c)}
 }
 
 // Reset arms the machine for one run from root over the marked tree
@@ -85,11 +88,11 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		}
 		m.n = float64(m.pr.Network().N())
 		m.st = msSurvey
-		return sketch.StartSurvey(m.pr, m.root), false, nil
+		return m.carriers.StartSurvey(m.pr, m.root), false, nil
 
 	case msSurvey:
 		v, _ := w.Value()
-		sv := sketch.ConsumeSurvey(v)
+		sv := m.carriers.ConsumeSurvey(v)
 		if sv.UnmarkedDegreeSum == 0 {
 			m.res.Reason = EmptyCut
 			return m.done()
@@ -121,7 +124,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 
 	case msGate:
 		v, _ := w.Value()
-		if !sketch.ConsumeHP(v) {
+		if !m.hpRun.Consume(v) {
 			m.res.Reason = EmptyCut
 			return m.done()
 		}

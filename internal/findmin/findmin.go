@@ -126,7 +126,7 @@ func Run(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cf
 	// One implementation: the blocking form drives the state machine in
 	// place (see Machine), so a caller on a Proc performs the identical
 	// operation sequence a continuation task would.
-	m := NewMachine()
+	m := NewMachine(sketch.NewCarriers())
 	m.Reset(pr, root, r, cfg)
 	return m.Drive(p)
 }

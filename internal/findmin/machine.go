@@ -53,16 +53,20 @@ type Machine struct {
 	rangeIv sketch.Interval
 	lane    sketch.Interval // fired lane under verification
 
+	carriers *sketch.Carriers
 	testOut  *sketch.TestOutRunner
 	hpRun    *sketch.HPRunner
 	alphaBuf [sketch.MaxReps]uint64
 }
 
-// NewMachine returns a reusable FindMin machine; arm it with Reset.
-func NewMachine() *Machine {
+// NewMachine returns a reusable FindMin machine whose survey and HP-TestOut
+// echoes recycle through c (shared by the machines of one fan-out); arm it
+// with Reset.
+func NewMachine(c *sketch.Carriers) *Machine {
 	return &Machine{
-		testOut: sketch.NewTestOutRunner(),
-		hpRun:   sketch.NewHPRunner(),
+		carriers: c,
+		testOut:  sketch.NewTestOutRunner(),
+		hpRun:    sketch.NewHPRunner(c),
 	}
 }
 
@@ -96,11 +100,11 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		}
 		m.n = float64(m.pr.Network().N())
 		m.st = msSurvey
-		return sketch.StartSurvey(m.pr, m.root), false, nil
+		return m.carriers.StartSurvey(m.pr, m.root), false, nil
 
 	case msSurvey:
 		v, _ := w.Value()
-		sv := sketch.ConsumeSurvey(v)
+		sv := m.carriers.ConsumeSurvey(v)
 		if sv.UnmarkedDegreeSum == 0 {
 			// No candidate edges at all: certainly empty, no search needed.
 			m.res.Reason = EmptyCut
@@ -141,7 +145,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 
 	case msHPEmpty:
 		v, _ := w.Value()
-		if !sketch.ConsumeHP(v) {
+		if !m.hpRun.Consume(v) {
 			m.res.Reason = EmptyCut
 			return m.done()
 		}
@@ -149,7 +153,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 
 	case msHPLow:
 		v, _ := w.Value()
-		if sketch.ConsumeHP(v) {
+		if m.hpRun.Consume(v) {
 			return m.iterate() // paper step 8: repeat without narrowing
 		}
 		// TestInterval — confirm the fired lane (guards against the
@@ -158,7 +162,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 
 	case msHPLane:
 		v, _ := w.Value()
-		if !sketch.ConsumeHP(v) {
+		if !m.hpRun.Consume(v) {
 			return m.iterate()
 		}
 		return m.narrow()

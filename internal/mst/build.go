@@ -14,6 +14,7 @@ import (
 	"kkt/internal/congest"
 	"kkt/internal/findmin"
 	"kkt/internal/rng"
+	"kkt/internal/sketch"
 	"kkt/internal/tree"
 )
 
@@ -121,8 +122,9 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
 	nw.Spawn("boruvka", func(p *congest.Proc) error {
+		carriers := sketch.NewCarriers()
 		fan := congest.Fanout[*fragDriver, findmin.Reason]{
-			New: func() *fragDriver { return &fragDriver{m: findmin.NewMachine()} },
+			New: func() *fragDriver { return &fragDriver{m: findmin.NewMachine(carriers)} },
 		}
 		var meter congest.PhaseMeter
 		for phase := 1; phase <= maxPhases; phase++ {

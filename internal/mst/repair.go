@@ -5,6 +5,7 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/findmin"
+	"kkt/internal/sketch"
 	"kkt/internal/tree"
 )
 
@@ -113,7 +114,7 @@ func drive(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bool, 
 	}
 	sr := &stormRepair{nw: nw, pr: pr}
 	if deleteStyle {
-		sr.fm = findmin.NewMachine()
+		sr.fm = findmin.NewMachine(sketch.NewCarriers())
 	}
 	sr.reset(deleteStyle, u, v, seed, cfg)
 	nw.SpawnStep(op, sr)

@@ -27,9 +27,36 @@ func markedPath(t *testing.T, n int) (*congest.Network, *tree.Protocol) {
 	return nw, tree.Attach(nw)
 }
 
-// TestTestOutBroadcastAllocs pins one full TestOut broadcast-and-echo —
-// 64 lanes, stride lane lookup, unboxed parity-word echoes — at constant
-// allocations over a 256-node tree.
+// broadcastAllocs returns the allocations each further broadcast-and-echo
+// adds to a warm driver run: a run of 1+extra broadcasts measured against
+// a run of one, so the fixed cost of spawning and running the driver
+// cancels out.
+func broadcastAllocs(t *testing.T, nw *congest.Network, extra int, once func(p *congest.Proc) error) float64 {
+	t.Helper()
+	run := func(k int) func() {
+		return func() {
+			nw.Spawn("be", func(p *congest.Proc) error {
+				for i := 0; i < k; i++ {
+					if err := once(p); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err := nw.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(1 + extra)() // warm the carriers, tree and engine free lists
+	one := testing.AllocsPerRun(5, run(1))
+	many := testing.AllocsPerRun(5, run(1+extra))
+	return (many - one) / float64(extra)
+}
+
+// TestTestOutBroadcastAllocs: once warm, a TestOut broadcast-and-echo —
+// 64 lanes, stride lane lookup, unboxed parity-word echoes — over a
+// 256-node tree allocates nothing.
 func TestTestOutBroadcastAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	const n = 256
@@ -37,45 +64,56 @@ func TestTestOutBroadcastAllocs(t *testing.T) {
 	runner := NewTestOutRunner()
 	h := hashing.NewOddHash(rng.New(11))
 	iv := Interval{Lo: 1, Hi: 1 << 40}
-	wave := func() {
-		nw.Spawn("testout", func(p *congest.Proc) error {
-			_, err := runner.Lanes(p, pr, 1, h, iv, Lanes)
-			return err
-		})
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wave() // warm pools
-	avg := testing.AllocsPerRun(5, wave)
-	if avg > 32 {
-		t.Errorf("TestOut B&E on %d nodes: %.1f allocs, budget 32 — per-node churn reintroduced?", n, avg)
+	per := broadcastAllocs(t, nw, 16, func(p *congest.Proc) error {
+		_, err := p.AwaitU(runner.Start(pr, 1, h, iv, Lanes))
+		return err
+	})
+	if per != 0 {
+		t.Errorf("TestOut B&E on %d nodes: %.2f allocs per broadcast, want 0", n, per)
 	}
 }
 
-// TestHPTestOutBroadcastAllocs pins one HP-TestOut broadcast-and-echo at
-// constant allocations: pooled hpEval echoes circulate through the tree
-// instead of one pair-slice allocation per node.
+// TestHPTestOutBroadcastAllocs: once warm, an HP-TestOut
+// broadcast-and-echo allocates nothing — its *hpEval echoes circulate
+// through the Carriers instead of one allocation per node.
 func TestHPTestOutBroadcastAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	const n = 256
 	nw, pr := markedPath(t, n)
-	runner := NewHPRunner()
+	runner := NewHPRunner(NewCarriers())
 	alphas := DrawAlphas(rng.New(13), MaxReps)
 	iv := Interval{Lo: 1, Hi: 1 << 40}
-	wave := func() {
-		nw.Spawn("hp", func(p *congest.Proc) error {
-			_, err := runner.Run(p, pr, 1, alphas, iv)
-			return err
-		})
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
+	per := broadcastAllocs(t, nw, 16, func(p *congest.Proc) error {
+		v, err := p.Await(runner.Start(pr, 1, alphas, iv))
+		if err == nil {
+			runner.Consume(v)
 		}
+		return err
+	})
+	if per != 0 {
+		t.Errorf("HP-TestOut B&E on %d nodes: %.2f allocs per broadcast, want 0", n, per)
 	}
-	wave()
-	avg := testing.AllocsPerRun(5, wave)
-	if avg > 48 {
-		t.Errorf("HP-TestOut B&E on %d nodes: %.1f allocs, budget 48 — per-node churn reintroduced?", n, avg)
+}
+
+// TestSurveyBroadcastAllocs: once warm, a survey broadcast-and-echo
+// allocates nothing — its *Survey echoes recycle through the Carriers.
+func TestSurveyBroadcastAllocs(t *testing.T) {
+	race.SkipAllocTest(t)
+	const n = 256
+	nw, pr := markedPath(t, n)
+	c := NewCarriers()
+	per := broadcastAllocs(t, nw, 16, func(p *congest.Proc) error {
+		v, err := p.Await(c.StartSurvey(pr, 1))
+		if err != nil {
+			return err
+		}
+		if s := c.ConsumeSurvey(v); s.Size != n {
+			t.Errorf("survey size = %d, want %d", s.Size, n)
+		}
+		return nil
+	})
+	if per != 0 {
+		t.Errorf("survey B&E on %d nodes: %.2f allocs per broadcast, want 0", n, per)
 	}
 }
 

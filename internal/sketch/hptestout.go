@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math"
-	"sync"
 
 	"kkt/internal/congest"
 	"kkt/internal/modring"
@@ -18,11 +17,14 @@ const MaxReps = 3
 
 // hpDown is the broadcast payload: the evaluation points and the weight
 // interval under test. The alphas live inline (reps <= MaxReps), so the
-// payload is a single pointer with no per-call slice.
+// payload is a single pointer with no per-call slice. carriers is not
+// sent: it holds the eval free list, reached through the payload so the
+// fold functions need no closure per runner.
 type hpDown struct {
-	Alphas [MaxReps]uint64
-	Reps   int
-	Range  Interval
+	Alphas   [MaxReps]uint64
+	Reps     int
+	Range    Interval
+	carriers *Carriers
 }
 
 // hpPair is one repetition's pair of polynomial evaluations.
@@ -31,15 +33,11 @@ type hpPair struct {
 }
 
 // hpEval is one node's echo value: the per-repetition evaluation pairs,
-// inline. Evals are recycled through a pool — parents return their
-// children's evals as they fold them — so a broadcast-and-echo reuses a
-// handful of evals instead of allocating one per node.
+// inline. Evals recycle through the runner's Carriers.
 type hpEval struct {
 	pairs [MaxReps]hpPair
 	reps  int
 }
-
-var hpEvalPool = sync.Pool{New: func() any { return new(hpEval) }}
 
 // NumReps returns how many parallel repetitions are needed to push the
 // one-sided error below eps given that at most degreeBound edge endpoints
@@ -85,7 +83,7 @@ func DrawAlphas(r *rng.RNG, reps int) []uint64 {
 func hpLocal(node *congest.NodeState, downAny any) any {
 	d := downAny.(*hpDown)
 	ring := modring.Default()
-	ev := hpEvalPool.Get().(*hpEval)
+	ev := d.carriers.takeEval()
 	ev.reps = d.Reps
 	for i := 0; i < d.Reps; i++ {
 		ev.pairs[i] = hpPair{Up: 1, Down: 1}
@@ -112,13 +110,13 @@ func hpLocal(node *congest.NodeState, downAny any) any {
 // hpCombine multiplies one child's products into the node's own and
 // recycles the child's eval.
 func hpCombine(node *congest.NodeState, downAny, acc any, c tree.ChildEcho) any {
-	ev, cev := acc.(*hpEval), c.Value.(*hpEval)
+	d, ev, cev := downAny.(*hpDown), acc.(*hpEval), c.Value.(*hpEval)
 	ring := modring.Default()
 	for i := 0; i < ev.reps; i++ {
 		ev.pairs[i].Up = ring.Mul(ev.pairs[i].Up, cev.pairs[i].Up)
 		ev.pairs[i].Down = ring.Mul(ev.pairs[i].Down, cev.pairs[i].Down)
 	}
-	hpEvalPool.Put(cev)
+	d.carriers.evals = append(d.carriers.evals, cev)
 	return ev
 }
 
@@ -128,15 +126,19 @@ func hpCombine(node *congest.NodeState, downAny, acc any, c tree.ChildEcho) any 
 // fingerprints agree for every alpha iff (w.h.p.) no edge leaves the
 // tree: every tree-internal edge contributes the same factor to both
 // sides (once from each endpoint), while a cut edge contributes to exactly
-// one side. The spec and payload refresh in place per call.
+// one side. The spec and payload refresh in place per call, and the echo
+// carriers recycle through the given Carriers. A runner belongs to one
+// driver and runs one broadcast at a time.
 type HPRunner struct {
 	down hpDown
 	spec tree.Spec
 }
 
-// NewHPRunner returns a runner ready for repeated HP tests.
-func NewHPRunner() *HPRunner {
+// NewHPRunner returns a runner ready for repeated HP tests, drawing its
+// echo carriers from c.
+func NewHPRunner(c *Carriers) *HPRunner {
 	h := &HPRunner{}
+	h.down.carriers = c
 	h.spec = tree.Spec{
 		Down:    &h.down,
 		Local:   hpLocal,
@@ -146,8 +148,8 @@ func NewHPRunner() *HPRunner {
 }
 
 // Start begins HP-TestOut(root, rng) with the given evaluation points; the
-// session completes with a pooled *hpEval to be consumed with ConsumeHP.
-// Continuation drivers pair Start/ConsumeHP; blocking drivers use Run.
+// session completes with the root's *hpEval, which Consume turns into the
+// verdict.
 func (h *HPRunner) Start(pr *tree.Protocol, root congest.NodeID, alphas []uint64, rng Interval) congest.SessionID {
 	if len(alphas) == 0 || len(alphas) > MaxReps {
 		panic("sketch: HPTestOut needs 1..MaxReps alphas")
@@ -161,9 +163,11 @@ func (h *HPRunner) Start(pr *tree.Protocol, root congest.NodeID, alphas []uint64
 	return pr.StartBroadcastEcho(root, &h.spec)
 }
 
-// ConsumeHP folds a completed HP-TestOut session's value into the verdict
-// — does an edge in range leave the tree? — and recycles the pooled eval.
-func ConsumeHP(v any) bool {
+// Consume turns a completed Start session's value into the verdict — does
+// an edge with composite weight in range leave the tree containing root?
+// — and takes the root's eval back. A false answer is wrong with
+// probability at most (B/p)^len(alphas); a true answer is always correct.
+func (h *HPRunner) Consume(v any) bool {
 	ev := v.(*hpEval)
 	leaving := false
 	for i := 0; i < ev.reps; i++ {
@@ -172,23 +176,6 @@ func ConsumeHP(v any) bool {
 			break
 		}
 	}
-	hpEvalPool.Put(ev)
+	h.down.carriers.evals = append(h.down.carriers.evals, ev)
 	return leaving
-}
-
-// Run performs HP-TestOut(root, rng) with the given evaluation points and
-// reports whether an edge with composite weight in rng leaves the tree
-// containing root. A false answer is wrong with probability at most
-// (B/p)^len(alphas); a true answer is always correct.
-func (h *HPRunner) Run(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, alphas []uint64, rng Interval) (bool, error) {
-	v, err := p.Await(h.Start(pr, root, alphas, rng))
-	if err != nil {
-		return false, err
-	}
-	return ConsumeHP(v), nil
-}
-
-// HPTestOut is the one-shot form of HPRunner.Run.
-func HPTestOut(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, alphas []uint64, rng Interval) (bool, error) {
-	return NewHPRunner().Run(p, pr, root, alphas, rng)
 }

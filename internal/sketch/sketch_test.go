@@ -42,10 +42,14 @@ func comp(g *graph.Graph, a, b uint32) uint64 {
 func TestSurvey(t *testing.T) {
 	nw, pr, g := fixture(t)
 	var s Survey
+	c := NewCarriers()
 	runDriver(t, nw, func(p *congest.Proc) error {
-		got, err := RunSurvey(p, pr, 1)
-		s = got
-		return err
+		v, err := p.Await(c.StartSurvey(pr, 1))
+		if err != nil {
+			return err
+		}
+		s = c.ConsumeSurvey(v)
+		return nil
 	})
 	if s.Size != 3 {
 		t.Errorf("Size = %d, want 3", s.Size)
@@ -66,6 +70,33 @@ func TestSurvey(t *testing.T) {
 	wantEdgeNum := g.Layout.EdgeNum(3, 4)
 	if s.MaxEdgeNum != wantEdgeNum {
 		t.Errorf("MaxEdgeNum = %d, want %d", s.MaxEdgeNum, wantEdgeNum)
+	}
+}
+
+// TestConcurrentSurveysShareCarriers: surveys of two fragments in flight
+// at once draw on one Carriers — as a Borůvka phase's machines do — and
+// each still aggregates only its own tree.
+func TestConcurrentSurveysShareCarriers(t *testing.T) {
+	nw, pr, _ := fixture(t)
+	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}, {4, 5}, {5, 6}})
+	c := NewCarriers()
+	var left, right Survey
+	runDriver(t, nw, func(p *congest.Proc) error {
+		a, b := c.StartSurvey(pr, 2), c.StartSurvey(pr, 6)
+		va, err := p.Await(a)
+		if err != nil {
+			return err
+		}
+		vb, err := p.Await(b)
+		if err != nil {
+			return err
+		}
+		left, right = c.ConsumeSurvey(va), c.ConsumeSurvey(vb)
+		return nil
+	})
+	// T={1,2,3}: degrees 2+3+2; T'={4,5,6}: {3,4},{1,4},{4,5} + {4,5},{5,6},{2,5} + {5,6} = 7.
+	if left.Size != 3 || left.DegreeSum != 7 || right.Size != 3 || right.DegreeSum != 7 {
+		t.Errorf("surveys = %+v and %+v, want size 3 and degree sum 7 each", left, right)
 	}
 }
 
@@ -116,15 +147,16 @@ func TestTestOutEmptyCutNeverFires(t *testing.T) {
 	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}, {3, 4}})
 	pr := tree.Attach(nw)
 	r := rng.New(11)
+	runner := NewTestOutRunner()
 	runDriver(t, nw, func(p *congest.Proc) error {
 		full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
 		for i := 0; i < 100; i++ {
 			h := hashing.NewOddHash(r)
-			got, err := TestOut(p, pr, 2, h, full)
+			word, err := p.AwaitU(runner.Start(pr, 2, h, full, 1))
 			if err != nil {
 				return err
 			}
-			if got {
+			if word != 0 {
 				t.Fatal("TestOut fired on an empty cut")
 			}
 		}
@@ -137,15 +169,16 @@ func TestTestOutDetectsCut(t *testing.T) {
 	r := rng.New(21)
 	fires := 0
 	const trials = 400
+	runner := NewTestOutRunner()
 	runDriver(t, nw, func(p *congest.Proc) error {
 		full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
 		for i := 0; i < trials; i++ {
 			h := hashing.NewOddHash(r)
-			got, err := TestOut(p, pr, 1, h, full)
+			word, err := p.AwaitU(runner.Start(pr, 1, h, full, 1))
 			if err != nil {
 				return err
 			}
-			if got {
+			if word != 0 {
 				fires++
 			}
 		}
@@ -164,14 +197,15 @@ func TestTestOutIntervalFilter(t *testing.T) {
 	// where only internal/tree edges (10, 20) live -> never fires.
 	lo := comp(g, 1, 4) + 1
 	hi := comp(g, 2, 5) - 1
+	runner := NewTestOutRunner()
 	runDriver(t, nw, func(p *congest.Proc) error {
 		for i := 0; i < 200; i++ {
 			h := hashing.NewOddHash(r)
-			got, err := TestOut(p, pr, 1, h, Interval{Lo: lo, Hi: hi})
+			word, err := p.AwaitU(runner.Start(pr, 1, h, Interval{Lo: lo, Hi: hi}, 1))
 			if err != nil {
 				return err
 			}
-			if got {
+			if word != 0 {
 				t.Fatal("TestOut fired on an interval with no cut edges")
 			}
 		}
@@ -198,10 +232,11 @@ func TestTestOutLanesLocaliseCutEdges(t *testing.T) {
 		}
 	}
 	gotLanes := make(map[int]bool)
+	runner := NewTestOutRunner()
 	runDriver(t, nw, func(p *congest.Proc) error {
 		for i := 0; i < 600; i++ {
 			h := hashing.NewOddHash(r)
-			word, err := TestOutLanes(p, pr, 1, h, rngIv, Lanes)
+			word, err := p.AwaitU(runner.Start(pr, 1, h, rngIv, Lanes))
 			if err != nil {
 				return err
 			}
@@ -231,28 +266,29 @@ func TestHPTestOutAlwaysRight(t *testing.T) {
 	full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
 	noCut := Interval{Lo: comp(g, 1, 4) + 1, Hi: comp(g, 2, 5) - 1}
 	onlyLight := Interval{Lo: 0, Hi: comp(g, 1, 4)} // exactly the lightest cut edge
+	runner := NewHPRunner(NewCarriers())
 	runDriver(t, nw, func(p *congest.Proc) error {
 		for i := 0; i < 100; i++ {
 			alphas := DrawAlphas(r, 2)
-			got, err := HPTestOut(p, pr, 1, alphas, full)
+			v, err := p.Await(runner.Start(pr, 1, alphas, full))
 			if err != nil {
 				return err
 			}
-			if !got {
+			if !runner.Consume(v) {
 				t.Fatal("HP-TestOut missed a non-empty cut (prob ~2^-80)")
 			}
-			got, err = HPTestOut(p, pr, 1, alphas, noCut)
+			v, err = p.Await(runner.Start(pr, 1, alphas, noCut))
 			if err != nil {
 				return err
 			}
-			if got {
+			if runner.Consume(v) {
 				t.Fatal("HP-TestOut fired on an empty cut interval")
 			}
-			got, err = HPTestOut(p, pr, 1, alphas, onlyLight)
+			v, err = p.Await(runner.Start(pr, 1, alphas, onlyLight))
 			if err != nil {
 				return err
 			}
-			if !got {
+			if !runner.Consume(v) {
 				t.Fatal("HP-TestOut missed the lightest cut edge")
 			}
 		}
@@ -273,13 +309,14 @@ func TestHPTestOutWholeTreeEmptyCut(t *testing.T) {
 	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}, {3, 4}, {4, 5}})
 	pr := tree.Attach(nw)
 	r := rng.New(61)
+	runner := NewHPRunner(NewCarriers())
 	runDriver(t, nw, func(p *congest.Proc) error {
 		for i := 0; i < 50; i++ {
-			got, err := HPTestOut(p, pr, 3, DrawAlphas(r, 1), Interval{Lo: 0, Hi: ^uint64(0) >> 1})
+			v, err := p.Await(runner.Start(pr, 3, DrawAlphas(r, 1), Interval{Lo: 0, Hi: ^uint64(0) >> 1}))
 			if err != nil {
 				return err
 			}
-			if got {
+			if runner.Consume(v) {
 				t.Fatal("HP-TestOut fired with no cut edges")
 			}
 		}
@@ -306,9 +343,10 @@ func TestTestOutMessageCost(t *testing.T) {
 	// One TestOut = one broadcast-and-echo = 2 messages per tree edge.
 	nw, pr, _ := fixture(t)
 	r := rng.New(71)
+	runner := NewTestOutRunner()
 	runDriver(t, nw, func(p *congest.Proc) error {
 		before := nw.Counters()
-		_, err := TestOut(p, pr, 1, hashing.NewOddHash(r), Interval{Lo: 0, Hi: 1 << 40})
+		_, err := p.AwaitU(runner.Start(pr, 1, hashing.NewOddHash(r), Interval{Lo: 0, Hi: 1 << 40}, 1))
 		if err != nil {
 			return err
 		}

@@ -18,8 +18,6 @@
 package sketch
 
 import (
-	"sync"
-
 	"kkt/internal/congest"
 	"kkt/internal/tree"
 )
@@ -48,13 +46,58 @@ type Survey struct {
 // surveyBits: echo carries five words.
 const surveyBits = 5 * 64
 
-// surveyPool recycles echo values: parents return their children's
-// surveys as they fold them, so one broadcast-and-echo circulates a
-// handful of *Survey instead of boxing one per node.
-var surveyPool = sync.Pool{New: func() any { return new(Survey) }}
+// Carriers recycles the boxed echo values of survey and HP-TestOut
+// broadcast-and-echoes — *Survey and *hpEval carriers — through two free
+// lists: a parent returns each child's carrier as it folds it in, and the
+// driver's consume step returns the root's. One Carriers serves every
+// probe of a fan-out (a Borůvka build's fragment machines, a repair
+// launcher's repairs), so the lists hold as many carriers as the fan-out
+// has in flight at once — about one per node — and a warm fan-out's
+// broadcasts allocate none. A Carriers belongs to one network: trials are
+// single-threaded, and the lists take no locks.
+type Carriers struct {
+	surveySpec tree.Spec
+	surveys    []*Survey
+	evals      []*hpEval
+}
+
+// NewCarriers returns empty free lists.
+func NewCarriers() *Carriers {
+	c := &Carriers{}
+	// The survey broadcasts no data, so one spec serves every concurrent
+	// survey; Down hands the fold functions the free list.
+	c.surveySpec = tree.Spec{
+		Down:     c,
+		DownBits: 8,
+		UpBits:   surveyBits,
+		Local:    surveyLocal,
+		Combine:  surveyCombine,
+	}
+	return c
+}
+
+// takeSurvey pops a recycled survey carrier or allocates one.
+func (c *Carriers) takeSurvey() *Survey {
+	if n := len(c.surveys); n > 0 {
+		s := c.surveys[n-1]
+		c.surveys = c.surveys[:n-1]
+		return s
+	}
+	return new(Survey)
+}
+
+// takeEval pops a recycled HP-TestOut carrier or allocates one.
+func (c *Carriers) takeEval() *hpEval {
+	if n := len(c.evals); n > 0 {
+		ev := c.evals[n-1]
+		c.evals = c.evals[:n-1]
+		return ev
+	}
+	return new(hpEval)
+}
 
 func surveyLocal(node *congest.NodeState, down any) any {
-	s := surveyPool.Get().(*Survey)
+	s := down.(*Carriers).takeSurvey()
 	*s = Survey{Size: 1, DegreeSum: node.Degree()}
 	for i := range node.Edges {
 		he := &node.Edges[i]
@@ -72,51 +115,26 @@ func surveyLocal(node *congest.NodeState, down any) any {
 }
 
 func surveyCombine(node *congest.NodeState, down, acc any, c tree.ChildEcho) any {
-	s, cs := acc.(*Survey), c.Value.(*Survey)
+	carriers, s, cs := down.(*Carriers), acc.(*Survey), c.Value.(*Survey)
 	s.Size += cs.Size
 	s.DegreeSum += cs.DegreeSum
 	s.UnmarkedDegreeSum += cs.UnmarkedDegreeSum
 	s.MaxComposite = max(s.MaxComposite, cs.MaxComposite)
 	s.MaxEdgeNum = max(s.MaxEdgeNum, cs.MaxEdgeNum)
-	surveyPool.Put(cs)
+	carriers.surveys = append(carriers.surveys, cs)
 	return s
 }
-
-// surveySpec is the shared, stateless broadcast-and-echo spec computing
-// Survey; echo values are pooled *Survey.
-var surveySpec = tree.Spec{
-	DownBits: 8,
-	UpBits:   surveyBits,
-	Local:    surveyLocal,
-	Combine:  surveyCombine,
-}
-
-// SurveySpec returns the broadcast-and-echo spec computing Survey. The
-// spec is shared and must not be mutated; echo values are pooled *Survey
-// (RunSurvey copies the aggregate out).
-func SurveySpec() *tree.Spec { return &surveySpec }
 
 // StartSurvey begins the survey broadcast-and-echo from root; the session
-// completes with a pooled *Survey to be consumed with ConsumeSurvey.
-// Continuation drivers pair Start/Consume; blocking drivers use RunSurvey.
-func StartSurvey(pr *tree.Protocol, root congest.NodeID) congest.SessionID {
-	return pr.StartBroadcastEcho(root, &surveySpec)
+// completes with the root's *Survey, which ConsumeSurvey copies out.
+func (c *Carriers) StartSurvey(pr *tree.Protocol, root congest.NodeID) congest.SessionID {
+	return pr.StartBroadcastEcho(root, &c.surveySpec)
 }
 
-// ConsumeSurvey copies the aggregate out of a completed survey session's
-// value and recycles the pooled carrier.
-func ConsumeSurvey(v any) Survey {
+// ConsumeSurvey copies the aggregate out of a completed StartSurvey
+// session's value and takes the carrier back.
+func (c *Carriers) ConsumeSurvey(v any) Survey {
 	sp := v.(*Survey)
-	s := *sp
-	surveyPool.Put(sp)
-	return s
-}
-
-// RunSurvey performs the survey broadcast-and-echo from root.
-func RunSurvey(p *congest.Proc, pr *tree.Protocol, root congest.NodeID) (Survey, error) {
-	v, err := p.Await(StartSurvey(pr, root))
-	if err != nil {
-		return Survey{}, err
-	}
-	return ConsumeSurvey(v), nil
+	c.surveys = append(c.surveys, sp)
+	return *sp
 }

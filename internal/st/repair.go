@@ -5,6 +5,7 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/findany"
+	"kkt/internal/sketch"
 	"kkt/internal/tree"
 )
 
@@ -91,7 +92,7 @@ func drive(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bool, 
 	}
 	sr := &stormRepair{nw: nw, pr: pr}
 	if deleteStyle {
-		sr.fa = findany.NewMachine()
+		sr.fa = findany.NewMachine(sketch.NewCarriers())
 	}
 	sr.reset(deleteStyle, u, v, seed, cfg)
 	nw.SpawnStep(op, sr)

@@ -19,6 +19,7 @@ import (
 	"kkt/internal/congest"
 	"kkt/internal/findany"
 	"kkt/internal/rng"
+	"kkt/internal/sketch"
 	"kkt/internal/tree"
 )
 
@@ -117,8 +118,9 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
 	nw.Spawn("boruvka-st", func(p *congest.Proc) error {
+		carriers := sketch.NewCarriers()
 		fan := congest.Fanout[*fragDriver, findany.Reason]{
-			New: func() *fragDriver { return &fragDriver{m: findany.NewMachine()} },
+			New: func() *fragDriver { return &fragDriver{m: findany.NewMachine(carriers)} },
 		}
 		var meter congest.PhaseMeter
 		for phase := 1; phase <= maxPhases; phase++ {

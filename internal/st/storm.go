@@ -6,6 +6,7 @@ import (
 	"kkt/internal/faultplan"
 	"kkt/internal/findany"
 	"kkt/internal/rng"
+	"kkt/internal/sketch"
 	"kkt/internal/tree"
 )
 
@@ -117,12 +118,14 @@ type StormLauncher struct {
 	cfg   RepairConfig
 	probe *admit.SideProber
 	free  []*stormRepair
+	// carriers recycles the echo values of every repair's probes.
+	carriers *sketch.Carriers
 }
 
 // NewStormLauncher returns a launcher maintaining the spanning forest on
 // nw/pr.
 func NewStormLauncher(nw *congest.Network, pr *tree.Protocol, cfg RepairConfig) *StormLauncher {
-	return &StormLauncher{nw: nw, pr: pr, cfg: cfg, probe: admit.NewSideProber()}
+	return &StormLauncher{nw: nw, pr: pr, cfg: cfg, probe: admit.NewSideProber(), carriers: sketch.NewCarriers()}
 }
 
 func (l *StormLauncher) get() *stormRepair {
@@ -131,7 +134,7 @@ func (l *StormLauncher) get() *stormRepair {
 		l.free = l.free[:n-1]
 		return sr
 	}
-	return &stormRepair{nw: l.nw, pr: l.pr, fa: findany.NewMachine()}
+	return &stormRepair{nw: l.nw, pr: l.pr, fa: findany.NewMachine(l.carriers)}
 }
 
 // Release implements admit.Launcher.
