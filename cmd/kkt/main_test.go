@@ -214,8 +214,11 @@ func TestOutOfRangeCountsExitTwo(t *testing.T) {
 		{[]string{"scaling", "--quiet", "--ladder", "64,128", "--workers", "-1"}, "--workers"},
 		{[]string{"scaling", "--quiet", "--ladder", "64,128", "--timeout", "-1s"}, "--timeout"},
 		{[]string{"scaling", "--quiet", "--ladder", "64,128", "--seeds", "0"}, "--seeds"},
+		{[]string{"serve", "--n", "32", "--epoch-events", "-3", "--events", "8"}, "--epoch-events"},
+		{[]string{"serve", "--n", "32", "--checkpoint-every", "-1", "--events", "8"}, "--checkpoint-every"},
+		{[]string{"serve", "--n", "32", "--wave", "-2", "--events", "8"}, "--wave"},
 	} {
-		if tc.args[0] != "run" {
+		if tc.args[0] == "bench" || tc.args[0] == "scaling" {
 			// Should the check regress, the report lands in a temp dir.
 			tc.args = append(tc.args, "--out", filepath.Join(t.TempDir(), "report.json"))
 		}

@@ -133,6 +133,19 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	if err := of.validate(stderr); err != nil {
 		return err
 	}
+	for _, c := range []struct {
+		flag string
+		val  int
+		zero string
+	}{
+		{"--epoch-events", *epochEvents, "64"},
+		{"--checkpoint-every", *ckptEvery, "1"},
+		{"--wave", *wave, "the admission default"},
+	} {
+		if c.val < 0 {
+			return flagValueError(stderr, "%s must be at least 0 (0 = %s), got %d", c.flag, c.zero, c.val)
+		}
+	}
 	if *resume && *ckptPath == "" {
 		err := errors.New("--resume requires --checkpoint")
 		fmt.Fprintln(stderr, "kkt:", err)

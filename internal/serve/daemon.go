@@ -124,6 +124,18 @@ func (c Config) validate() error {
 	if c.Events <= 0 {
 		return fmt.Errorf("serve: events=%d, want > 0", c.Events)
 	}
+	// Zero means the default for all three and is filled in by
+	// withDefaults; a negative value has no meaning (and a negative epoch
+	// size would slice the event list backwards).
+	if c.EpochEvents < 0 {
+		return fmt.Errorf("serve: epoch-events=%d, want >= 0", c.EpochEvents)
+	}
+	if c.CheckpointEvery < 0 {
+		return fmt.Errorf("serve: checkpoint-every=%d, want >= 0", c.CheckpointEvery)
+	}
+	if c.Wave < 0 {
+		return fmt.Errorf("serve: wave=%d, want >= 0", c.Wave)
+	}
 	if c.Trace != nil && c.Events > len(c.Trace) {
 		return fmt.Errorf("serve: events=%d exceeds trace length %d", c.Events, len(c.Trace))
 	}

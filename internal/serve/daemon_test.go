@@ -229,6 +229,33 @@ func TestConfigRejectsBadTraceEndpoints(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNegativeCounts: zero selects the default epoch size,
+// checkpoint cadence and wave cap, but a negative value is refused by New
+// and Resume alike — a negative epoch size used to slice the event list
+// backwards and panic mid-run.
+func TestConfigRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"epoch-events", func(c *Config) { c.EpochEvents = -3 }},
+		{"checkpoint-every", func(c *Config) { c.CheckpointEvery = -1 }},
+		{"wave", func(c *Config) { c.Wave = -2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t.TempDir())
+			cfg.Events = 8
+			tc.set(&cfg)
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("New: err = %v, want a %s error", err, tc.name)
+			}
+			if _, err := Resume(cfg, Checkpoint{}); err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("Resume: err = %v, want a %s error", err, tc.name)
+			}
+		})
+	}
+}
+
 // TestResumeRejectsCraftedState: the state digest authenticates nothing,
 // so Resume must itself refuse a checkpoint whose state cannot be an
 // engine's — it would otherwise crash the rebuild or the repair machines.
