@@ -74,9 +74,9 @@ type Message struct {
 // mark. The paper's edge number (the two IDs concatenated, smallest first)
 // and composite weight (raw . edge number) are functions of those and of
 // the owning node's ID, so they are derived on read (EdgeNum, Composite)
-// instead of stored: the struct is 24 bytes, and a node's first eight
-// half-edges span three cache lines instead of six. The layout's two shift
-// widths ride in what would otherwise be padding.
+// instead of stored, which keeps the struct at 24 bytes: a node's first
+// eight half-edges span three cache lines. The layout's two shift widths
+// ride in what would otherwise be padding.
 type HalfEdge struct {
 	Neighbor NodeID
 	Marked   bool // does this endpoint consider the edge a tree edge?

@@ -128,9 +128,9 @@ func (pr *Protocol) clearSpec(sid congest.SessionID) {
 // StartBroadcastEcho begins a broadcast-and-echo rooted at root over the
 // marked edges. The returned session completes (at the initiating driver)
 // with the root's accumulator once every echo has folded in — CombineU's
-// word, via AwaitU, on the unboxed lane. The marked subgraph containing root must be a tree,
-// otherwise the run panics — cycles are a protocol error here (Build-ST
-// handles cycles via elections, never via B&E).
+// word, via AwaitU, on the unboxed lane. The marked subgraph containing
+// root must be a tree, otherwise the run panics — cycles are a protocol
+// error here (Build-ST handles cycles via elections, never via B&E).
 func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.SessionID {
 	if spec.unboxed() && (spec.Local != nil || spec.Combine != nil) {
 		panic("tree: Spec mixes the unboxed (LocalU) and boxed (Local/Combine) lanes")
